@@ -11,7 +11,6 @@
 //	aptbench -loadgen -clients 32            # load-test a plan service (in-process)
 //	aptbench -loadgen -addr host:7717        # ... or a live aptgetd
 //	aptbench -loadgen -rate 200 -requests 1000  # open-loop Poisson arrivals
-//	aptbench -pgo-cycle                      # self-PGO rebuild-and-measure cycle
 //
 // Experiments fan out over a GOMAXPROCS-sized worker pool; -workers pins
 // the pool width (1 = serial). Output is identical at any width.
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids")
 	workers := fs.Int("workers", 0, "worker pool width (0 = GOMAXPROCS, 1 = serial)")
 	bench := fs.Bool("bench", false, "time every experiment + substrate microbenchmarks, write -benchout")
-	pgoCycle := fs.Bool("pgo-cycle", false, "build aptgetd, capture its profile under load, rebuild with -pgo, measure before/after into -serveout")
 	benchout := fs.String("benchout", "BENCH_substrate.json", "perf report path for -bench")
 	serveout := fs.String("serveout", "BENCH_serve.json", "serve-path perf report for -bench")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (any mode)")
@@ -131,14 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Relocate: *relocate,
 		}, stdout)
 		if err != nil {
-			fmt.Fprintf(stderr, "aptbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *pgoCycle {
-		if err := runPGOCycle(*quick, *serveout, stdout); err != nil {
 			fmt.Fprintf(stderr, "aptbench: %v\n", err)
 			return 1
 		}

@@ -82,10 +82,6 @@ type ServeBenchReport struct {
 	Wire        WireTiming    `json:"wire"`
 	Loadgen     LoadgenTiming `json:"loadgen"`
 	Fleet       FleetTiming   `json:"fleet"`
-	// PGO is the self-PGO rebuild-and-measure cycle's before/after,
-	// written by `aptbench -pgo-cycle` and preserved verbatim when the
-	// serve benchmarks regenerate the rest of the report.
-	PGO *PGOCycleReport `json:"pgo,omitempty"`
 }
 
 // serveHistogram builds a multimodal latency-histogram lookalike: four
@@ -235,29 +231,8 @@ func timeFleet(single LoadgenTiming, lgOpt loadgenOptions) (FleetTiming, error) 
 	return ft, nil
 }
 
-// loadServeReport reads an existing serve report; a missing or
-// unparseable file yields the zero report (the caller regenerates it).
-func loadServeReport(path string) ServeBenchReport {
-	var rep ServeBenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(data, &rep)
-	}
-	return rep
-}
-
-// writeServeReport marshals and writes a serve report.
-func writeServeReport(path string, rep *ServeBenchReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // runServeBench measures the serve-path hot paths and writes the report
-// to outPath. A pgo section from an earlier -pgo-cycle run carries over
-// untouched — the cycle is a separate (expensive) measurement with its
-// own regeneration command.
+// to outPath.
 func runServeBench(quick bool, outPath string) error {
 	report := ServeBenchReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -265,7 +240,6 @@ func runServeBench(quick bool, outPath string) error {
 		GoVersion:   runtime.Version(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Quick:       quick,
-		PGO:         loadServeReport(outPath).PGO,
 	}
 
 	for _, bins := range serveLadderSizes(quick) {
@@ -311,7 +285,11 @@ func runServeBench(quick bool, outPath string) error {
 		ft.OpenLoopOfferedPerSec, ft.OpenLoopAchievedPerSec,
 		100*ft.OpenLoopDropRejectRate, ft.AggregateSavedAnalyses)
 
-	if err := writeServeReport(outPath, &report); err != nil {
+	data, err := json.MarshalIndent(&report, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("bench: wrote %s\n", outPath)

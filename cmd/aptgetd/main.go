@@ -16,12 +16,11 @@
 //	aptgetd -addr :7701 -peers 127.0.0.1:7702,127.0.0.1:7703 \
 //	        -replicate -aggregate-window 8 -aggregate-wait 50ms
 //
-// With -pgo-dir the daemon profiles itself: a windowed runtime/pprof
-// capture loop feeds a rotation-bounded artifact store keyed by the
-// binary's build ID, and /v1/pprof/merged serves the best stored
-// profile as the `go build -pgo` candidate for the next rebuild:
+// GET /debug/pprof/profile?seconds=N returns a CPU profile of the live
+// daemon; the file feeds a profile-guided rebuild directly:
 //
-//	aptgetd -pgo-dir /var/lib/aptgetd/pgo -pgo-period 60s -pgo-duration 10s
+//	curl -o default.pgo 'http://127.0.0.1:7717/debug/pprof/profile?seconds=30'
+//	go build -pgo=default.pgo ./cmd/aptgetd
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests before exiting.
@@ -40,7 +39,6 @@ import (
 
 	"aptget/internal/aggregate"
 	"aptget/internal/obs"
-	"aptget/internal/pgo"
 	"aptget/internal/planstore"
 	"aptget/internal/service"
 )
@@ -68,10 +66,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	aggWindow := fs.Int("aggregate-window", 0, "merge up to N same-shape profiles into one analysis (0 disables)")
 	aggWait := fs.Duration("aggregate-wait", 0, "max time the first profile of a window waits for the burst (0 selects the default)")
 	peerTimeout := fs.Duration("peer-timeout", planstore.DefaultRemoteTimeout, "per-peer handoff/replication deadline")
-	pgoDir := fs.String("pgo-dir", "", "root of the self-PGO profile artifact store (\"\" disables persistence)")
-	pgoPeriod := fs.Duration("pgo-period", 0, "windowed self-capture cadence (0 disables the loop; requires -pgo-dir)")
-	pgoDuration := fs.Duration("pgo-duration", 0, "length of one self-capture window (0 selects the default)")
-	pgoKeep := fs.Int("pgo-keep", pgo.DefaultKeep, "max profile artifacts kept before oldest-first rotation")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,10 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "aptgetd: -replicate requires -peers")
 		return 2
 	}
-	if *pgoPeriod > 0 && *pgoDir == "" {
-		fmt.Fprintln(stderr, "aptgetd: -pgo-period requires -pgo-dir")
-		return 2
-	}
 
 	// The obs registry accumulates one span per analysis for the process
 	// lifetime, so a long-running daemon only enables it when a report
@@ -97,17 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *report != "" {
 		obs.Enable()
 		obs.Reset()
-	}
-
-	capt, err := pgo.New(pgo.Config{
-		Dir:      *pgoDir,
-		Period:   *pgoPeriod,
-		Duration: *pgoDuration,
-		Keep:     *pgoKeep,
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "aptgetd: %v\n", err)
-		return 2
 	}
 
 	srv := service.New(service.Config{
@@ -119,30 +98,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		AggregateWindow: *aggWindow,
 		AggregateWait:   *aggWait,
 		PeerTimeout:     *peerTimeout,
-		Capturer:        capt,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "aptgetd: %v\n", err)
 		return 1
 	}
-	b := pgo.Binary()
-	pgoTag := "none"
-	if b.PGOBuilt {
-		pgoTag = b.PGOProfile
-	}
-	fmt.Fprintf(stdout, "aptgetd: build %s %s pgo=%s\n", b.ID, b.GoVersion, pgoTag)
 	fmt.Fprintf(stdout, "aptgetd: listening on %s (cache %d entries, %d in-flight, %s timeout)\n",
 		ln.Addr(), *cache, *inflight, *timeout)
-	if *pgoDir != "" {
-		if *pgoPeriod > 0 {
-			fmt.Fprintf(stdout, "aptgetd: self-pgo capturing %s windows every %s into %s (keep %d)\n",
-				capt.Duration(), *pgoPeriod, *pgoDir, *pgoKeep)
-		} else {
-			fmt.Fprintf(stdout, "aptgetd: self-pgo artifact store %s (keep %d, on-demand captures only)\n",
-				*pgoDir, *pgoKeep)
-		}
-	}
 	if len(peerList) > 0 {
 		mode := "handoff"
 		if *replicate {

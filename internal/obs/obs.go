@@ -46,11 +46,6 @@ const (
 	// StageReplan scopes the online re-planning controller: windows
 	// observed, degradation triggers, re-profiles and hot-swaps.
 	StageReplan = "replan"
-
-	// StagePGO scopes the daemon's self-profiling subsystem: CPU capture
-	// windows taken/skipped/flushed and profile artifact-store traffic,
-	// on one long-lived span per capturer.
-	StagePGO = "pgo"
 )
 
 // stageRank orders the canonical stages in pipeline order for reports.
@@ -68,10 +63,8 @@ func stageRank(stage string) int {
 		return 4
 	case StageServe:
 		return 5
-	case StagePGO:
-		return 6
 	}
-	return 7
+	return 6
 }
 
 // PlanRecord is the per-plan provenance attached to analysis spans and

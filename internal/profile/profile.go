@@ -105,17 +105,17 @@ func SelectLoads(candidates []pebs.Load, instructions uint64, opt Options) []peb
 			l.Score = float64(l.StallCycles) * float64(opt.PEBSPeriod) / kilo
 		}
 	}
-	// A profile whose candidates carry no stall data predates latency
-	// sampling (a legacy wire frame): every 2-D score would be zero and
-	// the gate would drop the whole profile. Fall back to the 1-D path.
-	legacy := len(candidates) > 0
+	// A profile whose candidates carry no stall data (no sampled miss
+	// recorded any exposed stall): every 2-D score would be zero and the
+	// gate would drop the whole profile. Fall back to the 1-D path.
+	noStall := len(candidates) > 0
 	for i := range candidates {
 		if candidates[i].StallCycles > 0 {
-			legacy = false
+			noStall = false
 			break
 		}
 	}
-	if opt.MPKIOnly || legacy {
+	if opt.MPKIOnly || noStall {
 		// 1-D ablation: the pre-2-D MPKI floor, ranked by sample count
 		// (the order Delinquent already returns).
 		if instructions == 0 || opt.MinLoadMPKI <= 0 {

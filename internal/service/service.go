@@ -7,10 +7,10 @@
 //
 //	POST /v1/profiles        ingest a profile, return {fingerprint, outcome}
 //	GET  /v1/plans/{fp}      fetch canonical plan-set bytes by fingerprint
-//	GET  /v1/healthz         liveness + cache size + binary build identity
+//	GET  /v1/healthz         liveness + cache size
 //	GET  /v1/metrics         plan-cache / backpressure counters (+ obs report)
-//	GET  /v1/pprof/cpu       on-demand self-capture (?seconds=, &store=1)
-//	GET  /v1/pprof/merged    best stored CPU profile for this build (default.pgo)
+//	GET  /debug/pprof/profile  net/http/pprof CPU profile (?seconds=), the
+//	                         file `go build -pgo` takes
 //
 // The server re-derives plans itself: workload builds are deterministic
 // (core.Workload contract), so the profile only has to name the
@@ -24,7 +24,9 @@
 // (counted as requests_rejected_backpressure) instead of queueing
 // unboundedly. Every request also runs under a deadline
 // (http.TimeoutHandler), and Serve drains connections gracefully on
-// context cancellation.
+// context cancellation. The CPU-profile route is the one exception to
+// the per-request deadline: a capture legitimately runs for its whole
+// ?seconds= window, so it gets its own, longer cap (maxCaptureWait).
 package service
 
 import (
@@ -35,6 +37,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +46,6 @@ import (
 	"aptget/internal/core"
 	"aptget/internal/mem"
 	"aptget/internal/obs"
-	"aptget/internal/pgo"
 	"aptget/internal/planstore"
 	"aptget/internal/profile"
 	"aptget/internal/wire"
@@ -56,6 +58,12 @@ const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxBodyBytes   = 64 << 20
 )
+
+// maxCaptureWait bounds one /debug/pprof/profile request: 120 s of
+// capture plus 15 s grace for writing the response. pprof.Profile takes
+// any ?seconds=, so this keeps a hostile value from pinning a goroutine
+// forever; a capture still running at the cap is cut short with a 503.
+const maxCaptureWait = 135 * time.Second
 
 // Config tunes the server. Zero values select defaults.
 type Config struct {
@@ -102,13 +110,6 @@ type Config struct {
 	// PeerTimeout bounds one warm-handoff lookup or replication push
 	// (≤0 → planstore.DefaultRemoteTimeout).
 	PeerTimeout time.Duration
-
-	// Capturer is the self-PGO capture subsystem (windowed CPU captures
-	// plus the /v1/pprof endpoints). nil constructs an ephemeral
-	// store-less capturer, so on-demand /v1/pprof/cpu always works; the
-	// daemon passes a configured one to get windowed capture and the
-	// artifact store behind /v1/pprof/merged.
-	Capturer *pgo.Capturer
 }
 
 func (c *Config) fill() {
@@ -140,19 +141,12 @@ type Server struct {
 	cfg     Config
 	store   *planstore.Store
 	batcher *aggregate.Batcher // nil unless AggregateWindow ≥ 2
-	capt    *pgo.Capturer
 	sem     chan struct{}
 	handler http.Handler
 
-	rejected atomic.Int64
-	// requests counts admitted requests; the capturer's idle detector
-	// watches it to pause windowed self-capture on an unloaded daemon.
-	requests atomic.Int64
-
-	// Self-PGO endpoint counters (mirrored into the serve span).
-	pgoOndemand     atomic.Int64
-	pgoOndemandFail atomic.Int64
-	pgoMergedServed atomic.Int64
+	rejected    atomic.Int64
+	oversize    atomic.Int64
+	replicaPuts atomic.Int64
 
 	// sp is the long-lived serve span the cache counters mirror into
 	// when the obs registry is enabled at construction (aptgetd -report).
@@ -216,29 +210,24 @@ func New(cfg Config) *Server {
 	}
 	s.store.AttachObs(s.sp)
 
-	s.capt = cfg.Capturer
-	if s.capt == nil {
-		// A zero pgo.Config cannot fail (no store directory to create).
-		s.capt, _ = pgo.New(pgo.Config{})
-	}
-	s.capt.SetActivity(s.requests.Load)
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handleIngest)
 	mux.HandleFunc("GET /v1/plans/{fp}", s.handlePlans)
 	mux.HandleFunc("PUT /v1/plans/{fp}", s.handlePlanPut)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/pprof/merged", s.handlePprofMerged)
 
-	// /v1/pprof/cpu mounts *outside* the TimeoutHandler: a multi-second
-	// CPU capture is legitimate work that must not be killed by the
-	// normal per-request deadline. It runs under its own capture-scoped
-	// timeout instead (see handlePprofCPU).
+	// The CPU profile mounts *outside* the request TimeoutHandler: a
+	// capture runs for its whole ?seconds= window, which may exceed
+	// RequestTimeout. The runtime allows one CPU capture at a time (a
+	// concurrent request gets 500). Only this route is mounted, on our
+	// own mux: the handlers net/http/pprof registers on
+	// http.DefaultServeMux stay unreachable.
 	root := http.NewServeMux()
 	root.Handle("/", http.TimeoutHandler(mux, cfg.RequestTimeout,
 		`{"error":"request timed out"}`))
-	root.HandleFunc("GET /v1/pprof/cpu", s.handlePprofCPU)
+	root.Handle("GET /debug/pprof/profile", http.TimeoutHandler(
+		http.HandlerFunc(pprof.Profile), maxCaptureWait, `{"error":"profile capture timed out"}`))
 	s.handler = root
 	return s
 }
@@ -255,36 +244,22 @@ func (s *Server) Store() *planstore.Store { return s.store }
 func (s *Server) Counters() map[string]int64 {
 	c := s.store.Counters()
 	c["requests_rejected_backpressure"] = s.rejected.Load()
+	c["requests_rejected_oversize"] = s.oversize.Load()
+	c["plan_cache_replica_puts"] = s.replicaPuts.Load()
 	if s.batcher != nil {
 		for k, v := range s.batcher.Counters() {
 			c[k] += v
 		}
 	}
-	for k, v := range s.capt.Counters() {
-		c[k] = v
-	}
-	c["pgo_ondemand_captures"] = s.pgoOndemand.Load()
-	c["pgo_ondemand_failures"] = s.pgoOndemandFail.Load()
-	c["pgo_merged_served"] = s.pgoMergedServed.Load()
 	return c
 }
 
 // Close ends the server's obs spans. Idempotent; Serve calls it on exit.
-func (s *Server) Close() {
-	s.sp.End()
-	s.capt.Close()
-}
-
-// Capturer exposes the self-PGO capture subsystem (startup logging,
-// tests).
-func (s *Server) Capturer() *pgo.Capturer { return s.capt }
+func (s *Server) Close() { s.sp.End() }
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts
-// down gracefully (in-flight requests get up to 5s to drain). A
-// windowed-capture capturer runs for the same lifetime: its loop starts
-// with the listener and is drained before Serve returns, so a capture
-// window in flight at shutdown is flushed to the artifact store, not
-// dropped. Returns nil on a clean shutdown.
+// down gracefully (in-flight requests get up to 5s to drain). Returns
+// nil on a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.handler,
@@ -293,22 +268,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		// admission slot that the handler-level timeout alone cannot
 		// reclaim (the blocked body read pins the request).
 		ReadTimeout: s.cfg.RequestTimeout,
-	}
-	captCtx, captCancel := context.WithCancel(ctx)
-	defer captCancel()
-	var captDone chan struct{}
-	if s.capt.Windowed() {
-		captDone = make(chan struct{})
-		go func() {
-			s.capt.Run(captCtx)
-			close(captDone)
-		}()
-	}
-	waitCapt := func() {
-		captCancel() // also stops the loop when Serve exits on a listener error
-		if captDone != nil {
-			<-captDone
-		}
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -319,11 +278,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		<-errc // srv.Serve has returned http.ErrServerClosed
-		waitCapt()
 		s.Close()
 		return err
 	case err := <-errc:
-		waitCapt()
 		s.Close()
 		if errors.Is(err, http.ErrServerClosed) {
 			return nil
@@ -336,7 +293,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 func (s *Server) acquire() bool {
 	select {
 	case s.sem <- struct{}{}:
-		s.requests.Add(1)
 		return true
 	default:
 		return false
@@ -364,6 +320,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Reject oversized uploads before reading a single body byte when the
 	// client declares its length — the stream is never consumed.
 	if r.ContentLength > s.cfg.MaxBodyBytes {
+		s.oversize.Add(1)
 		s.sp.Add("requests_rejected_oversize", 1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
 			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
@@ -509,6 +466,7 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 
 	if r.ContentLength > s.cfg.MaxBodyBytes {
+		s.oversize.Add(1)
 		s.sp.Add("requests_rejected_oversize", 1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
 			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
@@ -544,17 +502,15 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 		src = key.Profile
 	}
 	s.store.PutLocal(key, planstore.Entry{Plans: plans, Source: src})
+	s.replicaPuts.Add(1)
 	s.sp.Add("plan_cache_replica_puts", 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	// The build block lets operators (and the -pgo-cycle harness) tell a
-	// profile-guided rebuild apart from a blind build of the same source.
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        "ok",
 		"cache_entries": s.store.Len(),
-		"build":         pgo.Binary(),
 	})
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -454,5 +455,102 @@ func TestErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/profiles = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestMetricsReportOversizeAndReplicaPuts: with the obs registry off
+// (the daemon default), /v1/metrics still reports oversize rejections
+// and replica PUTs — they are server counters, not span-only mirrors.
+func TestMetricsReportOversizeAndReplicaPuts(t *testing.T) {
+	if obs.Enabled() {
+		t.Fatal("obs registry must be off for this test")
+	}
+	ts := httptest.NewServer(New(Config{MaxBodyBytes: 16}).Handler())
+	defer ts.Close()
+
+	send := func(method, path string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	big := bytes.Repeat([]byte("x"), 64)
+	if st := send(http.MethodPost, "/v1/profiles", big); st != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize POST = %d, want 413", st)
+	}
+	if st := send(http.MethodPut, "/v1/plans/abc", big); st != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize PUT = %d, want 413", st)
+	}
+	plans := wire.EncodePlanSet(&wire.PlanSet{App: "IS"})
+	if len(plans) > 16 {
+		t.Fatalf("empty plan set is %d bytes, over the 16-byte body limit", len(plans))
+	}
+	if st := send(http.MethodPut, "/v1/plans/abc", plans); st != http.StatusNoContent {
+		t.Fatalf("replica PUT = %d, want 204", st)
+	}
+
+	m := getMetrics(t, ts)
+	if m.Obs != nil {
+		t.Fatal("metrics carried an obs report with the registry off")
+	}
+	for name, want := range map[string]int64{
+		"requests_rejected_oversize": 2,
+		"plan_cache_replica_puts":    1,
+	} {
+		if got, ok := m.Counters[name]; !ok || got != want {
+			t.Errorf("counters[%q] = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+}
+
+// TestCPUProfileOutlivesRequestTimeout: /debug/pprof/profile is mounted
+// outside the per-request deadline, so through the real Serve lifecycle
+// a 2 s capture completes under a 300 ms RequestTimeout and returns a
+// gzip-compressed pprof profile.
+func TestCPUProfileOutlivesRequestTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- New(Config{RequestTimeout: 300 * time.Millisecond}).Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	start := time.Now()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/profile?seconds=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile = %d (%s), want 200", resp.StatusCode, data)
+	}
+	if el := time.Since(start); el < 2*time.Second {
+		t.Fatalf("capture returned after %s, before the requested 2 s window", el)
+	}
+	// A pprof profile is a gzip-compressed protobuf.
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("profile body (%d bytes) is not gzip: %v", len(data), err)
+	}
+	if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
+		t.Fatalf("profile body decompresses to %d bytes (err %v)", len(raw), err)
 	}
 }

@@ -23,15 +23,6 @@ func FuzzDecodeProfile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(data) > 4 && data[4] != Version {
-			// Legacy frame: re-encoding upgrades it to the current
-			// version, so byte identity cannot hold — but the upgraded
-			// bytes must still be accepted.
-			if _, err := DecodeProfile(EncodeProfile(p)); err != nil {
-				t.Fatalf("legacy frame re-encode rejected: %v", err)
-			}
-			return
-		}
 		if !bytes.Equal(EncodeProfile(p), data) {
 			t.Fatalf("accepted frame is not canonical: %x", data)
 		}
@@ -49,12 +40,6 @@ func FuzzDecodePlanSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ps, err := DecodePlanSet(data)
 		if err != nil {
-			return
-		}
-		if len(data) > 4 && data[4] != Version {
-			if _, err := DecodePlanSet(EncodePlanSet(ps)); err != nil {
-				t.Fatalf("legacy frame re-encode rejected: %v", err)
-			}
 			return
 		}
 		if !bytes.Equal(EncodePlanSet(ps), data) {

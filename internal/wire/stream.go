@@ -48,7 +48,6 @@ type stream struct {
 	src io.Reader // nil when buf is the whole input
 	sum hash.Hash // optional incremental SHA-256 over all buffered bytes
 	off int64     // total bytes consumed, for error offsets
-	ver uint64    // frame version consumed by header
 	err error
 
 	scratch [8]byte // f64 staging for the src path
@@ -307,12 +306,9 @@ func (s *stream) header(kind byte) {
 		s.fail("wire: bad magic")
 		return
 	}
-	if v := s.uint(); s.err == nil {
-		if v < LegacyVersion || v > Version {
-			s.fail("wire: version %d, this decoder speaks %d–%d", v, LegacyVersion, Version)
-			return
-		}
-		s.ver = v
+	if v := s.uint(); s.err == nil && v != Version {
+		s.fail("wire: version %d, this decoder speaks %d", v, Version)
+		return
 	}
 	if got := s.byte(); s.err == nil && got != kind {
 		s.fail("wire: frame kind %d, want %d", got, kind)
@@ -340,11 +336,7 @@ func (s *stream) decodeProfile() *Profile {
 	if n := s.count(3); s.err == nil && n > 0 {
 		p.Loads = make([]Load, 0, s.sliceCap(n, 24))
 		for i := 0; i < n && s.err == nil; i++ {
-			l := Load{PC: s.uint(), Samples: s.uint()}
-			if s.ver >= 2 {
-				l.StallCycles = s.uint()
-			}
-			l.Share = s.f64()
+			l := Load{PC: s.uint(), Samples: s.uint(), StallCycles: s.uint(), Share: s.f64()}
 			if i > 0 && lessLoad(&l, &p.Loads[i-1]) {
 				s.fail("wire: frame is not canonical: loads out of order at index %d", i)
 				break
@@ -412,10 +404,8 @@ func (s *stream) decodePlanSet() *PlanSet {
 			p.LatencySamples = s.int()
 			p.DroppedNonMonotonic = s.int()
 			p.Fallback = s.str()
-			if s.ver >= 2 {
-				p.Score = s.f64()
-				p.MeanStall = s.f64()
-			}
+			p.Score = s.f64()
+			p.MeanStall = s.f64()
 			ps.Plans = append(ps.Plans, p)
 		}
 	}

@@ -107,20 +107,25 @@ func TestDecodeRejectsNonCanonicalStream(t *testing.T) {
 	p := benchProfile(4)
 	good := EncodeProfile(p)
 
-	mutate := func(name string, f func([]byte) []byte) {
-		bad := f(append([]byte(nil), good...))
-		if _, err := DecodeProfile(bad); err == nil {
-			t.Errorf("%s: DecodeProfile accepted", name)
+	// Each frame must fail for being non-canonical, not for some other
+	// reason a malformed hand-built frame could trip first.
+	reject := func(name string, bad []byte) {
+		t.Helper()
+		if _, err := DecodeProfile(bad); err == nil || !strings.Contains(err.Error(), "not canonical") {
+			t.Errorf("%s: DecodeProfile = %v, want a non-canonical rejection", name, err)
 		}
-		if _, _, err := DecodeProfileFrom(bytes.NewReader(bad)); err == nil {
-			t.Errorf("%s: DecodeProfileFrom accepted", name)
+		if _, _, err := DecodeProfileFrom(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not canonical") {
+			t.Errorf("%s: DecodeProfileFrom = %v, want a non-canonical rejection", name, err)
 		}
 	}
+	mutate := func(name string, f func([]byte) []byte) {
+		reject(name, f(append([]byte(nil), good...)))
+	}
 
-	// Pad the version varint: 0x01 -> 0x81 0x00 (same value, two bytes).
+	// Pad the version varint: 0x02 -> 0x82 0x00 (same value, two bytes).
 	mutate("padded varint", func(b []byte) []byte {
 		out := append([]byte(nil), b[:4]...)
-		out = append(out, 0x81, 0x00)
+		out = append(out, 0x80|Version, 0x00)
 		return append(out, b[5:]...)
 	})
 
@@ -133,18 +138,15 @@ func TestDecodeRejectsNonCanonicalStream(t *testing.T) {
 	w.uint(2)
 	w.uint(10) // PC=10, Samples=5
 	w.uint(5)
+	w.uint(0) // stall cycles
 	w.f64(0.2)
 	w.uint(20) // PC=20, Samples=9 — more delinquent, must come first
 	w.uint(9)
+	w.uint(0)
 	w.f64(0.8)
 	w.uint(0) // samples
 	w.uint(0) // loops
-	if _, err := DecodeProfile(w.buf); err == nil {
-		t.Error("unsorted loads accepted by DecodeProfile")
-	}
-	if _, _, err := DecodeProfileFrom(bytes.NewReader(w.buf)); err == nil {
-		t.Error("unsorted loads accepted by DecodeProfileFrom")
-	}
+	reject("unsorted loads", w.buf)
 
 	// Loop field beyond int32: the old decoder truncated and failed the
 	// re-encode comparison; the new one must reject outright.
@@ -160,12 +162,7 @@ func TestDecodeRejectsNonCanonicalStream(t *testing.T) {
 	w2.int(1)
 	w2.int(1)
 	w2.bool(true)
-	if _, err := DecodeProfile(w2.buf); err == nil {
-		t.Error("int32 overflow accepted by DecodeProfile")
-	}
-	if _, _, err := DecodeProfileFrom(bytes.NewReader(w2.buf)); err == nil {
-		t.Error("int32 overflow accepted by DecodeProfileFrom")
-	}
+	reject("int32 overflow", w2.buf)
 }
 
 // TestEncodeProfileFastPathMatchesSorted: the canonical fast path must

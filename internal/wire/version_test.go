@@ -2,131 +2,51 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// encodeProfileV1 replicates the version-1 profile layout (no per-load
-// StallCycles) so the decode-both test exercises real legacy bytes.
-func encodeProfileV1(p *Profile) []byte {
-	w := &writer{}
-	w.buf = append(w.buf, magic[:]...)
-	w.uint(LegacyVersion)
-	w.buf = append(w.buf, KindProfile)
-	w.str(p.App)
-	w.uint(p.Cycles)
-	w.uint(p.Instructions)
-	w.uint(uint64(len(p.Loads)))
-	for _, l := range p.Loads {
-		w.uint(l.PC)
-		w.uint(l.Samples)
-		w.f64(l.Share)
+// TestDecodeRejectsVersion1: a version-1 header (the layout without the
+// stall dimension) in front of otherwise valid bytes fails with the
+// version error, for both frame kinds.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	prof := EncodeProfile(sampleProfile())
+	plans := EncodePlanSet(samplePlanSet())
+	prof[4], plans[4] = 1, 1
+
+	const want = "wire: version 1, this decoder speaks 2"
+	if _, err := DecodeProfile(prof); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("DecodeProfile(v1) = %v, want %q", err, want)
 	}
-	w.uint(uint64(len(p.Samples)))
-	for _, s := range p.Samples {
-		w.uint(s.Cycle)
-		w.uint(uint64(len(s.Entries)))
-		for _, e := range s.Entries {
-			w.uint(e.From)
-			w.uint(e.To)
-			w.uint(e.Cycle)
-		}
+	if _, _, err := DecodeProfileFrom(bytes.NewReader(prof)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("DecodeProfileFrom(v1) = %v, want %q", err, want)
 	}
-	w.uint(uint64(len(p.Loops)))
-	for _, l := range p.Loops {
-		w.int(int64(l.Depth))
-		w.int(int64(l.Parent))
-		w.int(int64(l.Latches))
-		w.int(int64(l.Blocks))
-		w.bool(l.HasInduction)
+	if _, err := DecodePlanSet(plans); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("DecodePlanSet(v1) = %v, want %q", err, want)
 	}
-	return w.buf
 }
 
-// encodePlanSetV1 replicates the version-1 plan-set layout (no Score /
-// MeanStall trailer per plan).
-func encodePlanSetV1(ps *PlanSet) []byte {
-	w := &writer{}
-	w.buf = append(w.buf, magic[:]...)
-	w.uint(LegacyVersion)
-	w.buf = append(w.buf, KindPlanSet)
-	w.str(ps.App)
-	w.uint(uint64(len(ps.Plans)))
-	for _, p := range ps.Plans {
-		w.uint(p.LoadPC)
-		w.str(p.LoadName)
-		w.str(p.Site)
-		w.int(p.Distance)
-		w.f64(p.IC)
-		w.f64(p.MC)
-		w.f64(p.AvgTrip)
-		w.int(p.K)
-		w.int(p.InnerDistance)
-		w.int(p.OuterDistance)
-		w.f64s(p.PeaksInner)
-		w.f64s(p.PeaksOuter)
-		w.int(p.LatencySamples)
-		w.int(p.DroppedNonMonotonic)
-		w.str(p.Fallback)
-	}
-	return w.buf
-}
-
-// TestDecodeBothVersions pins the compatibility contract of the version
-// bump: the decoder accepts version-1 and version-2 bytes of the same
-// logical profile, a legacy frame decodes with zero stall fields, and
-// re-encoding a legacy decode upgrades it to a canonical version-2
-// frame that carries everything else unchanged.
-func TestDecodeBothVersions(t *testing.T) {
+// TestVersion2CarriesStall: the per-load stall sums survive a profile
+// round trip, and ToProfile recovers MeanStall from them.
+func TestVersion2CarriesStall(t *testing.T) {
 	p := sampleProfile()
 	p.Canonicalize()
 	for i := range p.Loads {
 		p.Loads[i].StallCycles = uint64(1000 + 100*i)
 	}
 
-	v2 := EncodeProfile(p)
-	got2, err := DecodeProfile(v2)
+	got, err := DecodeProfile(EncodeProfile(p))
 	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	for i := range got2.Loads {
-		if got2.Loads[i].StallCycles != p.Loads[i].StallCycles {
-			t.Fatalf("v2 load %d stall = %d, want %d",
-				i, got2.Loads[i].StallCycles, p.Loads[i].StallCycles)
+	for i := range got.Loads {
+		if got.Loads[i].StallCycles != p.Loads[i].StallCycles {
+			t.Fatalf("load %d stall = %d, want %d",
+				i, got.Loads[i].StallCycles, p.Loads[i].StallCycles)
 		}
 	}
 
-	v1 := encodeProfileV1(p)
-	got1, err := DecodeProfile(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if len(got1.Loads) != len(p.Loads) {
-		t.Fatalf("v1 decode lost loads: %d vs %d", len(got1.Loads), len(p.Loads))
-	}
-	for i, l := range got1.Loads {
-		if l.StallCycles != 0 {
-			t.Fatalf("v1 load %d must decode with zero StallCycles, got %d", i, l.StallCycles)
-		}
-		if l.PC != p.Loads[i].PC || l.Samples != p.Loads[i].Samples || l.Share != p.Loads[i].Share {
-			t.Fatalf("v1 load %d fields differ: %+v vs %+v", i, l, p.Loads[i])
-		}
-	}
-	if got1.App != p.App || got1.Cycles != p.Cycles || got1.Instructions != p.Instructions ||
-		len(got1.Samples) != len(p.Samples) || len(got1.Loops) != len(p.Loops) {
-		t.Fatal("v1 decode dropped non-load fields")
-	}
-
-	// Upgrading: re-encode is a canonical v2 frame.
-	up := EncodeProfile(got1)
-	if up[4] != Version {
-		t.Fatalf("re-encode version byte = %d, want %d", up[4], Version)
-	}
-	if _, err := DecodeProfile(up); err != nil {
-		t.Fatalf("upgraded frame rejected: %v", err)
-	}
-
-	// The ToProfile mapping recovers MeanStall from the wire stall sum.
-	tp := got2.ToProfile()
+	tp := got.ToProfile()
 	for i, l := range tp.Loads {
 		want := float64(p.Loads[i].StallCycles) / float64(p.Loads[i].Samples)
 		if l.MeanStall != want {
@@ -135,47 +55,27 @@ func TestDecodeBothVersions(t *testing.T) {
 	}
 }
 
-// TestDecodeBothVersionsPlanSet mirrors the profile test for plan frames.
-func TestDecodeBothVersionsPlanSet(t *testing.T) {
+// TestVersion2CarriesStallPlanSet: the 2-D selection provenance (Score,
+// MeanStall) survives a plan-set round trip byte for byte.
+func TestVersion2CarriesStallPlanSet(t *testing.T) {
 	ps := samplePlanSet()
 	for i := range ps.Plans {
 		ps.Plans[i].Score = 50 + float64(i)
 		ps.Plans[i].MeanStall = 200 + float64(i)
 	}
 
-	v2 := EncodePlanSet(ps)
-	got2, err := DecodePlanSet(v2)
+	data := EncodePlanSet(ps)
+	got, err := DecodePlanSet(data)
 	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	if !bytes.Equal(EncodePlanSet(got2), v2) {
-		t.Fatal("v2 round trip lost bytes")
+	if !bytes.Equal(EncodePlanSet(got), data) {
+		t.Fatal("round trip lost bytes")
 	}
-	for i := range got2.Plans {
-		if got2.Plans[i].Score != ps.Plans[i].Score ||
-			got2.Plans[i].MeanStall != ps.Plans[i].MeanStall {
-			t.Fatalf("v2 plan %d provenance lost: %+v", i, got2.Plans[i])
+	for i := range got.Plans {
+		if got.Plans[i].Score != ps.Plans[i].Score ||
+			got.Plans[i].MeanStall != ps.Plans[i].MeanStall {
+			t.Fatalf("plan %d provenance lost: %+v", i, got.Plans[i])
 		}
-	}
-
-	v1 := encodePlanSetV1(ps)
-	got1, err := DecodePlanSet(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if len(got1.Plans) != len(ps.Plans) {
-		t.Fatalf("v1 decode lost plans: %d vs %d", len(got1.Plans), len(ps.Plans))
-	}
-	for i, p := range got1.Plans {
-		if p.Score != 0 || p.MeanStall != 0 {
-			t.Fatalf("v1 plan %d must decode with zero provenance, got %+v", i, p)
-		}
-		if p.LoadPC != ps.Plans[i].LoadPC || p.Distance != ps.Plans[i].Distance ||
-			p.Site != ps.Plans[i].Site || p.Fallback != ps.Plans[i].Fallback {
-			t.Fatalf("v1 plan %d fields differ: %+v vs %+v", i, p, ps.Plans[i])
-		}
-	}
-	if _, err := DecodePlanSet(EncodePlanSet(got1)); err != nil {
-		t.Fatalf("upgraded frame rejected: %v", err)
 	}
 }

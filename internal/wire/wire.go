@@ -34,18 +34,13 @@ import (
 	"aptget/internal/profile"
 )
 
-// Version is the current wire-format version. Decoders reject frames
-// with an unknown version rather than guessing at field layouts; the
-// legacy version below is still accepted for reads.
+// Version is the wire-format version. Decoders reject frames of any
+// other version rather than guessing at field layouts.
 //
 // Version 2 added the per-load exposed-stall dimension: Load carries
 // StallCycles and Plan carries the 2-D selection provenance (Score,
-// MeanStall). Version-1 frames decode with those fields zero — the
-// profile predates latency sampling — and re-encode as version 2.
+// MeanStall).
 const Version = 2
-
-// LegacyVersion is the oldest frame version decoders still accept.
-const LegacyVersion = 1
 
 // Frame kinds (the byte after the header's version).
 const (
@@ -54,8 +49,7 @@ const (
 )
 
 // Load mirrors pebs.Load on the wire: one delinquent-load candidate.
-// StallCycles is the summed exposed stall of the PC's sampled misses
-// (zero in legacy version-1 frames).
+// StallCycles is the summed exposed stall of the PC's sampled misses.
 type Load struct {
 	PC          uint64
 	Samples     uint64
@@ -111,7 +105,7 @@ type Plan struct {
 	DroppedNonMonotonic int64
 	Fallback            string
 
-	// 2-D selection provenance (version 2; zero in legacy frames).
+	// 2-D selection provenance (added in version 2).
 	Score     float64
 	MeanStall float64
 }
