@@ -1,10 +1,10 @@
 package main
 
 // In-process fleet harness for the serve benchmark: N aptgetd shards
-// (peered for warm handoff, aggregation window enabled) behind one
-// aptrouter, all on loopback ports. The serve bench drives loadgen
-// through the router to measure fleet-wide throughput against the
-// single-server baseline.
+// (aggregation window enabled) behind one aptrouter, all on loopback
+// ports. Shards know nothing of each other; the router owns placement
+// and failover. The serve bench drives loadgen through the router to
+// measure fleet-wide throughput against the single-server baseline.
 
 import (
 	"context"
@@ -25,9 +25,9 @@ type fleetHarness struct {
 	done       chan error
 }
 
-// startFleet boots n shards and a router over them. Each shard peers
-// with every other (warm handoff) and aggregates same-shape bursts of
-// up to aggWindow profiles per aggWait window.
+// startFleet boots n shards and a router over them. Each shard
+// aggregates same-shape bursts of up to aggWindow profiles per aggWait
+// window.
 func startFleet(n, aggWindow int, aggWait time.Duration) (*fleetHarness, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &fleetHarness{cancel: cancel, done: make(chan error, n+1)}
@@ -45,15 +45,8 @@ func startFleet(n, aggWindow int, aggWait time.Duration) (*fleetHarness, error) 
 	}
 
 	for i := 0; i < n; i++ {
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
 		srv := service.New(service.Config{
 			MaxInflight:     256,
-			Peers:           peers,
 			AggregateWindow: aggWindow,
 			AggregateWait:   aggWait,
 		})

@@ -184,7 +184,7 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 		rejected  atomic.Int64
 		failed    atomic.Int64
 		dropped   atomic.Int64 // open loop only
-		outcomes  sync.Map // outcome string -> *atomic.Int64
+		outcomes  sync.Map     // outcome string -> *atomic.Int64
 		latencyMu sync.Mutex
 		latencies []float64 // per-request POST+GET milliseconds
 		errMu     sync.Mutex
@@ -320,7 +320,7 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 	fmt.Fprintf(stdout, "requests: %d ok, %d rejected (429), %d failed, %d dropped\n",
 		ok.Load(), rejected.Load(), failed.Load(), dropped.Load())
 	var outcomeParts []string
-	for _, name := range []string{"miss", "hit", "stale_match", "handoff", "aggregated"} {
+	for _, name := range []string{"miss", "hit", "stale_match", "aggregated"} {
 		if v, loaded := outcomes.Load(name); loaded {
 			outcomeParts = append(outcomeParts,
 				fmt.Sprintf("%s=%d", name, v.(*atomic.Int64).Load()))

@@ -52,7 +52,7 @@ type LoadgenTiming struct {
 }
 
 // FleetTiming is the sharded serving stack under the same load: N
-// peered shards behind an aptrouter, closed-loop for throughput plus an
+// shards behind an aptrouter, closed-loop for throughput plus an
 // open-loop pass at the single-server's achieved rate for the
 // drop/reject measurement. Speedup is fleet vs single req/s on this
 // machine — in-process shards share one CPU, so it measures routing

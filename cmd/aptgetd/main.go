@@ -9,12 +9,12 @@
 //	aptgetd -addr :8080 -inflight 128
 //	aptgetd -report report.json      # write obs span report on shutdown
 //
-// As a fleet shard it additionally pulls warm handoffs from (and
-// optionally replicates to) its siblings, and can aggregate fleet
-// profile bursts into single analyses:
+// As a fleet shard behind aptrouter it needs no knowledge of its
+// siblings: the router owns placement and fails over along the ring
+// when a shard dies. A shard can aggregate fleet profile bursts into
+// single analyses:
 //
-//	aptgetd -addr :7701 -peers 127.0.0.1:7702,127.0.0.1:7703 \
-//	        -replicate -aggregate-window 8 -aggregate-wait 50ms
+//	aptgetd -addr :7701 -aggregate-window 8 -aggregate-wait 50ms
 //
 // GET /debug/pprof/profile?seconds=N returns a CPU profile of the live
 // daemon; the file feeds a profile-guided rebuild directly:
@@ -34,7 +34,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"aptget/internal/aggregate"
@@ -61,22 +60,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	inflight := fs.Int("inflight", service.DefaultMaxInflight, "max concurrently served requests before 429")
 	timeout := fs.Duration("timeout", service.DefaultRequestTimeout, "per-request deadline")
 	report := fs.String("report", "", "write per-stage observability records to this JSON file on shutdown")
-	peers := fs.String("peers", "", "comma-separated sibling shard addresses for warm handoff (host:port,...)")
-	replicate := fs.Bool("replicate", false, "push every cached plan set to all -peers (best-effort)")
 	aggWindow := fs.Int("aggregate-window", 0, "merge up to N same-shape profiles into one analysis (0 disables)")
 	aggWait := fs.Duration("aggregate-wait", 0, "max time the first profile of a window waits for the burst (0 selects the default)")
-	peerTimeout := fs.Duration("peer-timeout", planstore.DefaultRemoteTimeout, "per-peer handoff/replication deadline")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	if *replicate && len(peerList) == 0 {
-		fmt.Fprintln(stderr, "aptgetd: -replicate requires -peers")
 		return 2
 	}
 
@@ -93,11 +79,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		CacheCapacity:   *cache,
 		MaxInflight:     *inflight,
 		RequestTimeout:  *timeout,
-		Peers:           peerList,
-		Replicate:       *replicate,
 		AggregateWindow: *aggWindow,
 		AggregateWait:   *aggWait,
-		PeerTimeout:     *peerTimeout,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -106,13 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "aptgetd: listening on %s (cache %d entries, %d in-flight, %s timeout)\n",
 		ln.Addr(), *cache, *inflight, *timeout)
-	if len(peerList) > 0 {
-		mode := "handoff"
-		if *replicate {
-			mode = "handoff+replicate"
-		}
-		fmt.Fprintf(stdout, "aptgetd: fleet peers %s (%s)\n", strings.Join(peerList, ","), mode)
-	}
 	if *aggWindow >= 2 {
 		wait := *aggWait
 		if wait <= 0 {

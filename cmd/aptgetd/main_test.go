@@ -110,10 +110,9 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
-// TestReportAgreesWithMetrics: with -report, one ingest shows up both in
-// the /v1/metrics counters and — after shutdown — in the written obs
-// report's serve span, with an analysis span proving the daemon ran the
-// model exactly once.
+// TestReportAgreesWithMetrics: with -report, one ingest shows up both as
+// one miss in the /v1/metrics counters and — after shutdown — as exactly
+// one analysis span in the written obs report.
 func TestReportAgreesWithMetrics(t *testing.T) {
 	e, ok := workloads.ByKey("IS")
 	if !ok {
@@ -170,18 +169,11 @@ func TestReportAgreesWithMetrics(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	var serveMisses int64 = -1
 	analyses := 0
 	for _, rec := range rep.Records {
-		if rec.Scope == "aptgetd/service" && rec.Stage == obs.StageServe {
-			serveMisses = rec.Counters["plan_cache_misses"]
-		}
 		if rec.Scope == "aptgetd/IS" && rec.Stage == obs.StageAnalysis {
 			analyses++
 		}
-	}
-	if serveMisses != 1 {
-		t.Fatalf("report serve span plan_cache_misses = %d, want 1 (matching /v1/metrics)", serveMisses)
 	}
 	if analyses != 1 {
 		t.Fatalf("report shows %d daemon analyses, want 1", analyses)

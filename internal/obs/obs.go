@@ -38,11 +38,6 @@ const (
 	StageInject     = "inject"
 	StageExecute    = "execute"
 	StageExperiment = "experiment"
-	// StageServe scopes the aptgetd serving layer: plan-cache hit/miss/
-	// stale-match counters and backpressure rejections live on one
-	// long-lived span per server, mutated concurrently by handlers.
-	StageServe = "serve"
-
 	// StageReplan scopes the online re-planning controller: windows
 	// observed, degradation triggers, re-profiles and hot-swaps.
 	StageReplan = "replan"
@@ -61,10 +56,8 @@ func stageRank(stage string) int {
 		return 3
 	case StageExperiment:
 		return 4
-	case StageServe:
-		return 5
 	}
-	return 6
+	return 5
 }
 
 // PlanRecord is the per-plan provenance attached to analysis spans and

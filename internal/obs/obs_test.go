@@ -166,15 +166,14 @@ func TestTextRendering(t *testing.T) {
 	}
 }
 
-// TestSharedSpanConcurrentMutation: the serving layer mutates one
-// long-lived span from many request handlers while Snapshot and
-// Counters read it. Run under -race this is the regression test for the
-// per-span lock.
+// TestSharedSpanConcurrentMutation: many goroutines mutate one
+// long-lived span while Snapshot and Counters read it. Run under -race
+// this is the regression test for the per-span lock.
 func TestSharedSpanConcurrentMutation(t *testing.T) {
 	Enable()
 	Reset()
 	defer Disable()
-	sp := Begin("aptgetd/service", StageServe)
+	sp := Begin("replan/controller", StageReplan)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -194,7 +193,7 @@ func TestSharedSpanConcurrentMutation(t *testing.T) {
 		t.Fatalf("plan_cache_hits = %d, want %d", got, 8*200)
 	}
 	rep := Snapshot()
-	if len(rep.Records) != 1 || rep.Records[0].Stage != StageServe {
-		t.Fatalf("serve span missing from snapshot: %+v", rep.Records)
+	if len(rep.Records) != 1 || rep.Records[0].Stage != StageReplan {
+		t.Fatalf("shared span missing from snapshot: %+v", rep.Records)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aptget/internal/obs"
 	"aptget/internal/wire"
 )
 
@@ -16,7 +15,7 @@ type entry struct {
 	source wire.Fingerprint
 }
 
-// Local is the in-memory Backend: a bounded LRU of plan sets with three
+// Local is the Store's storage: a bounded LRU of plan sets with three
 // indexes — exact key, fingerprint (the GET path), and loop-shape hash
 // (most recent entry per structure, the stale-match path).
 //
@@ -35,8 +34,6 @@ type Local struct {
 	byShape  map[wire.ShapeHash]*list.Element   // most recent entry per loop structure
 
 	evictions atomic.Int64
-
-	sp atomic.Pointer[obs.Span]
 }
 
 // NewLocal returns an LRU backend holding at most capacity plan sets
@@ -53,9 +50,6 @@ func NewLocal(capacity int) *Local {
 		byShape:  make(map[wire.ShapeHash]*list.Element),
 	}
 }
-
-// AttachObs mirrors the eviction counter onto an obs span.
-func (b *Local) AttachObs(sp *obs.Span) { b.sp.Store(sp) }
 
 // Len returns the number of cached plan sets.
 func (b *Local) Len() int {
@@ -114,10 +108,10 @@ func (b *Local) LookupShape(shape wire.ShapeHash) (Entry, bool) {
 }
 
 // Put stores plans under key at the LRU front, evicting past capacity.
-// An insert whose fingerprint is already cached — a racing identical
-// insert, a replication push, or a shape upgrade of a fingerprint-only
-// handoff alias — refreshes the surviving element in place and repoints
-// the fingerprint and shape indexes at it.
+// An insert whose fingerprint is already cached — a repeated insert, or
+// a shape upgrade of an entry stored under a fingerprint-only key —
+// refreshes the surviving element in place and repoints the fingerprint
+// and shape indexes at it.
 func (b *Local) Put(key Key, e Entry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -126,9 +120,9 @@ func (b *Local) Put(key Key, e Entry) {
 		en := el.Value.(*entry)
 		en.plans, en.source = e.Plans, e.Source
 		if key.Shape != "" && en.key != key {
-			// Re-index under the richer key (a handoff alias learning its
-			// shape, or a pathological shape change): drop the old key and
-			// its shape index if this element owned it.
+			// Re-index under the richer key (a fingerprint-only entry
+			// learning its shape, or a pathological shape change): drop
+			// the old key and its shape index if this element owned it.
 			delete(b.byKey, en.key)
 			if en.key.Shape != "" && en.key.Shape != key.Shape && b.byShape[en.key.Shape] == el {
 				delete(b.byShape, en.key.Shape)
@@ -159,6 +153,5 @@ func (b *Local) Put(key Key, e Entry) {
 			delete(b.byShape, old.key.Shape)
 		}
 		b.evictions.Add(1)
-		b.sp.Load().Add("plan_cache_evictions", 1)
 	}
 }

@@ -1,18 +1,11 @@
-// Package planstore is aptgetd's content-addressed plan cache, split
-// into two layers so one policy engine serves many deployment shapes:
+// Package planstore is aptgetd's content-addressed plan cache: a
+// bounded in-memory LRU (Local) under two serving policies:
 //
-//   - A Backend is the storage half: a container of encoded plan sets
-//     addressed by exact key, fingerprint, and loop-shape hash. Local
-//     (bounded in-memory LRU), Replicated (a Local plus sibling shards:
-//     warm handoff on miss, optional push replication), and Remote (an
-//     HTTP client for another daemon's plan surface) are interchangeable
-//     behind it.
-//   - The Store is the policy half, layered over any backend:
-//     single-flight deduplication (N concurrent requests for one profile
-//     trigger exactly one analysis) and stale-profile matching (after
-//     Ayupov et al.: an exact-fingerprint miss is served from an entry
-//     whose loop structure matches, raw PCs ignored, so plans survive
-//     binary drift without re-analysis).
+//   - Single-flight deduplication: N concurrent requests for one profile
+//     trigger exactly one analysis.
+//   - Stale-profile matching (after Ayupov et al.): an exact-fingerprint
+//     miss is served from an entry whose loop structure matches, raw PCs
+//     ignored, so plans survive binary drift without re-analysis.
 //
 // The store is safe for concurrent use and never blocks readers on a
 // running computation for a *different* key.
@@ -22,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aptget/internal/obs"
 	"aptget/internal/wire"
 )
 
@@ -39,40 +31,6 @@ type Entry struct {
 	Source wire.Fingerprint
 }
 
-// Backend is the storage layer under the Store's policies. Lookups do
-// not count hits or misses — the policy layer owns that accounting.
-// Implementations must be safe for concurrent use.
-type Backend interface {
-	// Lookup finds plans by exact profile fingerprint (the GET
-	// /v1/plans/{fp} path, where no shape hash is available).
-	Lookup(fp wire.Fingerprint) (Entry, bool)
-	// LookupKey finds plans by exact key.
-	LookupKey(key Key) (Entry, bool)
-	// LookupShape finds the most recently stored entry with the given
-	// loop-structure hash (the stale-match path).
-	LookupShape(shape wire.ShapeHash) (Entry, bool)
-	// Put stores plans under key, replacing any entry with the same
-	// fingerprint.
-	Put(key Key, e Entry)
-	// Len is the number of stored plan sets.
-	Len() int
-	// Counters exports backend-level counters (evictions, handoffs, ...)
-	// under the names /v1/metrics serves.
-	Counters() map[string]int64
-}
-
-// HandoffBackend is a Backend that can serve a miss from sibling shards
-// before the caller falls back to computing (plan-cache warm handoff).
-type HandoffBackend interface {
-	Backend
-	// Handoff asks the siblings for plans by fingerprint. It is called
-	// outside the store's locks and may do network I/O.
-	Handoff(fp wire.Fingerprint) (Entry, bool)
-}
-
-// obsAttacher lets backends mirror their counters into an obs span.
-type obsAttacher interface{ AttachObs(*obs.Span) }
-
 // Outcome says how a request was served.
 type Outcome int
 
@@ -86,9 +44,6 @@ const (
 	// OutcomeStaleMatch: exact fingerprint missed, but an entry with the
 	// same loop-structure hash was served without re-running analysis.
 	OutcomeStaleMatch
-	// OutcomeHandoff: exact fingerprint missed locally, but a sibling
-	// shard had the plans and handed them off without re-analysis.
-	OutcomeHandoff
 	// OutcomeAggregated: the request joined an aggregation window and was
 	// served from one analysis of the merged fleet profile.
 	OutcomeAggregated
@@ -100,8 +55,6 @@ func (o Outcome) String() string {
 		return "hit"
 	case OutcomeStaleMatch:
 		return "stale_match"
-	case OutcomeHandoff:
-		return "handoff"
 	case OutcomeAggregated:
 		return "aggregated"
 	}
@@ -113,7 +66,7 @@ type Result struct {
 	Outcome Outcome
 	// Source is the fingerprint of the profile the served plans were
 	// computed from. Equal to the request's fingerprint except on stale
-	// matches and handoffs, where it names the matched prior profile.
+	// matches, where it names the matched prior profile.
 	Source wire.Fingerprint
 }
 
@@ -125,149 +78,74 @@ type call struct {
 	err   error
 }
 
-// Store layers single-flight and stale-shape matching over a Backend.
+// Store layers single-flight and stale-shape matching over a Local LRU.
 type Store struct {
 	mu       sync.Mutex // serializes the lookup→flight decision
-	backend  Backend
+	lru      *Local
 	inflight map[Key]*call
 
-	hits, staleMatches, misses, handoffs atomic.Int64
-
-	// optional mirror of the counters into the obs registry; atomic
-	// because count runs both under and outside s.mu.
-	sp atomic.Pointer[obs.Span]
+	hits, staleMatches, misses atomic.Int64
 }
 
 // DefaultCapacity bounds the cache when New is given a non-positive
 // capacity.
 const DefaultCapacity = 512
 
-// New returns a store over a Local backend holding at most capacity
-// plan sets (≤0 selects DefaultCapacity).
-func New(capacity int) *Store { return NewWithBackend(NewLocal(capacity)) }
-
-// NewWithBackend returns a store layering the caching policies over b.
-func NewWithBackend(b Backend) *Store {
+// New returns a store holding at most capacity plan sets (≤0 selects
+// DefaultCapacity).
+func New(capacity int) *Store {
 	return &Store{
-		backend:  b,
+		lru:      NewLocal(capacity),
 		inflight: make(map[Key]*call),
 	}
 }
 
-// Backend exposes the storage layer (daemon startup logging, tests).
-func (s *Store) Backend() Backend { return s.backend }
-
-// AttachObs mirrors the store's counters onto an obs span (aptgetd
-// -report): every hit/stale-match/miss/eviction is Add()ed there too, so
-// a report written by the daemon agrees with /v1/metrics.
-func (s *Store) AttachObs(sp *obs.Span) {
-	s.sp.Store(sp)
-	if a, ok := s.backend.(obsAttacher); ok {
-		a.AttachObs(sp)
-	}
-}
-
 // Len returns the number of cached plan sets.
-func (s *Store) Len() int { return s.backend.Len() }
+func (s *Store) Len() int { return s.lru.Len() }
 
-// Counters exports the policy counters merged with the backend's, under
-// the names the obs layer and /v1/metrics share.
+// Counters exports the policy counters merged with the LRU's, under the
+// names /v1/metrics serves.
 func (s *Store) Counters() map[string]int64 {
-	c := map[string]int64{
-		"plan_cache_hits":          s.hits.Load(),
-		"plan_cache_stale_matches": s.staleMatches.Load(),
-		"plan_cache_misses":        s.misses.Load(),
-	}
-	if s.handoffs.Load() > 0 {
-		c["plan_cache_handoffs"] = s.handoffs.Load()
-	}
-	for k, v := range s.backend.Counters() {
-		c[k] += v
-	}
+	c := s.lru.Counters()
+	c["plan_cache_hits"] = s.hits.Load()
+	c["plan_cache_stale_matches"] = s.staleMatches.Load()
+	c["plan_cache_misses"] = s.misses.Load()
 	return c
 }
 
 // Get looks up plans by exact profile fingerprint (the GET /v1/plans
-// path). On a local miss a handoff-capable backend asks its sibling
-// shards — a router failing over to the next ring member still serves
-// the plans the dead owner computed. Does not count hits or misses;
-// ingestion owns that accounting.
-func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
-	if e, ok := s.backend.Lookup(fp); ok {
-		return e, true
-	}
-	h, ok := s.backend.(HandoffBackend)
-	if !ok {
-		return Entry{}, false
-	}
-	e, ok := h.Handoff(fp)
-	if !ok {
-		return Entry{}, false
-	}
-	s.count(&s.handoffs, "plan_cache_handoffs")
-	// Cache the handed-off plans under a fingerprint-only key; a later
-	// ingest of the same profile upgrades the entry with its shape. Local
-	// only — the plans just came from a peer.
-	s.PutLocal(Key{Profile: fp}, e)
-	return e, true
-}
-
-// GetLocal is Get restricted to the local backend — the serving path
-// for fleet-internal requests (siblings asking for a warm handoff must
-// not recurse into another round of handoffs).
-func (s *Store) GetLocal(fp wire.Fingerprint) (Entry, bool) {
-	return s.backend.Lookup(fp)
-}
+// path). Does not count hits or misses; ingestion owns that accounting.
+func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) { return s.lru.Lookup(fp) }
 
 // Put stores externally computed plans (aggregated analyses) under key,
-// counting nothing. Replicating backends push to peers.
-func (s *Store) Put(key Key, e Entry) { s.backend.Put(key, e) }
-
-// localPutter is a backend (Replicated) that can store without pushing.
-type localPutter interface{ PutLocal(key Key, e Entry) }
-
-// PutLocal stores under key without replicating — the path for plans
-// that already came from a peer, so pushes cannot echo around the fleet.
-func (s *Store) PutLocal(key Key, e Entry) {
-	if lp, ok := s.backend.(localPutter); ok {
-		lp.PutLocal(key, e)
-		return
-	}
-	s.backend.Put(key, e)
-}
+// counting nothing.
+func (s *Store) Put(key Key, e Entry) { s.lru.Put(key, e) }
 
 // TryGet serves key from the cache or a same-shape stale entry without
 // ever computing: the aggregation ingest path uses it to give cached
 // profiles the normal hit/stale accounting before joining a window.
 func (s *Store) TryGet(key Key) ([]byte, Result, bool) {
 	s.mu.Lock()
-	if e, ok := s.backend.LookupKey(key); ok {
-		s.count(&s.hits, "plan_cache_hits")
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if e, ok := s.lru.LookupKey(key); ok {
+		s.hits.Add(1)
 		return e.Plans, Result{Outcome: OutcomeHit, Source: e.Source}, true
 	}
-	if e, ok := s.backend.LookupShape(key.Shape); ok {
-		s.count(&s.staleMatches, "plan_cache_stale_matches")
-		s.mu.Unlock()
-		// Alias outside the lock: Put may push to peers (network I/O), and
-		// a racing duplicate alias is idempotent.
-		s.backend.Put(key, Entry{Plans: e.Plans, Source: e.Source})
+	if e, ok := s.staleMatch(key); ok {
 		return e.Plans, Result{Outcome: OutcomeStaleMatch, Source: e.Source}, true
 	}
-	s.mu.Unlock()
 	return nil, Result{}, false
 }
 
 // GetOrCompute serves key from the cache, from a same-shape stale entry,
-// from an in-flight computation of the same key, from a sibling shard's
-// cache (handoff-capable backends), or — exactly once per key — by
-// running compute. compute runs without the store lock held.
+// from an in-flight computation of the same key, or — exactly once per
+// key — by running compute. compute runs without the store lock held.
 func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, Result, error) {
 	s.mu.Lock()
 
 	// 1. Exact hit.
-	if e, ok := s.backend.LookupKey(key); ok {
-		s.count(&s.hits, "plan_cache_hits")
+	if e, ok := s.lru.LookupKey(key); ok {
+		s.hits.Add(1)
 		s.mu.Unlock()
 		return e.Plans, Result{Outcome: OutcomeHit, Source: e.Source}, nil
 	}
@@ -275,7 +153,7 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	// 2. Same key already being computed: wait for it rather than
 	// serving stale — the exact answer is moments away.
 	if c, ok := s.inflight[key]; ok {
-		s.count(&s.hits, "plan_cache_hits")
+		s.hits.Add(1)
 		s.mu.Unlock()
 		<-c.done
 		if c.err != nil {
@@ -284,54 +162,28 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 		return c.plans, Result{Outcome: OutcomeHit, Source: c.src}, nil
 	}
 
-	// 3. Stale match: an entry computed from a different profile of the
-	// same loop structure. Serve its plans verbatim, no analysis, and
-	// alias them under the new fingerprint so the follow-up GET (and
-	// repeat ingests of this exact profile) hit exactly.
-	if e, ok := s.backend.LookupShape(key.Shape); ok {
-		s.count(&s.staleMatches, "plan_cache_stale_matches")
-		res := Result{Outcome: OutcomeStaleMatch, Source: e.Source}
+	// 3. Stale match.
+	if e, ok := s.staleMatch(key); ok {
 		s.mu.Unlock()
-		// Alias outside the lock: Put may push to peers (network I/O).
-		s.backend.Put(key, Entry{Plans: e.Plans, Source: e.Source})
-		return e.Plans, res, nil
+		return e.Plans, Result{Outcome: OutcomeStaleMatch, Source: e.Source}, nil
 	}
 
-	// 4. Local miss: this request owns the flight; concurrent requests
-	// for the same key wait on it instead of duplicating the work.
+	// 4. Miss: this request owns the flight; concurrent requests for the
+	// same key wait on it instead of duplicating the work.
 	c := &call{done: make(chan struct{}), src: key.Profile}
 	s.inflight[key] = c
+	s.misses.Add(1)
 	s.mu.Unlock()
 
-	// 4a. Warm handoff: ask sibling shards before computing. Runs inside
-	// the flight, so a burst for one key costs at most one sibling sweep.
-	outcome := OutcomeMiss
-	if h, ok := s.backend.(HandoffBackend); ok {
-		if e, ok := h.Handoff(key.Profile); ok {
-			s.count(&s.handoffs, "plan_cache_handoffs")
-			c.plans, c.src = e.Plans, e.Source
-			outcome = OutcomeHandoff
-		}
-	}
+	c.plans, c.err = compute()
 
-	// 4b. True miss: run the analysis.
-	if outcome == OutcomeMiss {
-		s.count(&s.misses, "plan_cache_misses")
-		c.plans, c.err = compute()
-	}
-
-	// Publish to the backend before dropping the flight, so a request
-	// arriving between the two sees the cached entry rather than opening
-	// a second flight. The Put stays outside s.mu — it may push to peers.
-	// Handed-off plans store locally only: they just came from a peer.
-	if c.err == nil {
-		if outcome == OutcomeHandoff {
-			s.PutLocal(key, Entry{Plans: c.plans, Source: c.src})
-		} else {
-			s.backend.Put(key, Entry{Plans: c.plans, Source: c.src})
-		}
-	}
+	// Publish to the cache in the same critical section that drops the
+	// flight, so a request arriving after it sees the cached entry rather
+	// than opening a second flight.
 	s.mu.Lock()
+	if c.err == nil {
+		s.lru.Put(key, Entry{Plans: c.plans, Source: c.src})
+	}
 	delete(s.inflight, key)
 	s.mu.Unlock()
 	close(c.done)
@@ -339,12 +191,19 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	if c.err != nil {
 		return nil, Result{}, c.err
 	}
-	return c.plans, Result{Outcome: outcome, Source: c.src}, nil
+	return c.plans, Result{Outcome: OutcomeMiss, Source: c.src}, nil
 }
 
-// count bumps an atomic and mirrors it into the obs span when attached.
-// The span is nil-safe and has its own lock.
-func (s *Store) count(a *atomic.Int64, name string) {
-	a.Add(1)
-	s.sp.Load().Add(name, 1)
+// staleMatch finds an entry computed from a different profile of the
+// same loop structure and aliases it under key, so the follow-up GET
+// (and repeat ingests of this exact profile) hit exactly. The caller
+// holds s.mu and serves the plans verbatim, without analysis.
+func (s *Store) staleMatch(key Key) (Entry, bool) {
+	e, ok := s.lru.LookupShape(key.Shape)
+	if !ok {
+		return Entry{}, false
+	}
+	s.staleMatches.Add(1)
+	s.lru.Put(key, e)
+	return e, true
 }

@@ -261,8 +261,8 @@ func TestPutRefreshesExistingEntry(t *testing.T) {
 	b.Put(kA, Entry{Plans: plans(1), Source: kA.Profile})
 	b.Put(kB, Entry{Plans: plans(2), Source: kA.Profile})
 
-	// Re-insert kA with fresh bytes — the losing side of a racing
-	// identical insert, or a replication push of a recomputed analysis.
+	// Re-insert kA with fresh bytes — an aggregated analysis re-publishing
+	// plans for a fingerprint already cached.
 	b.Put(kA, Entry{Plans: plans(3), Source: kA.Profile})
 
 	got, ok := b.Lookup(kA.Profile)
@@ -283,10 +283,10 @@ func TestPutRefreshesExistingEntry(t *testing.T) {
 	checkConsistent(t, b)
 }
 
-// TestPutUpgradesFingerprintOnlyAlias: a warm handoff caches plans under
-// a fingerprint-only key; the later full ingest of the same profile must
-// upgrade that entry with its shape instead of inserting a second entry
-// for the fingerprint.
+// TestPutUpgradesFingerprintOnlyAlias: plans Put under a
+// fingerprint-only key, then the full key of the same profile, must
+// leave one entry carrying the shape instead of a second entry for the
+// fingerprint.
 func TestPutUpgradesFingerprintOnlyAlias(t *testing.T) {
 	b := NewLocal(4)
 	fp := wire.Fingerprint("fp-001")
@@ -306,8 +306,8 @@ func TestPutUpgradesFingerprintOnlyAlias(t *testing.T) {
 	if got, ok := b.LookupKey(full); !ok || !bytes.Equal(got.Plans, plans(1)) {
 		t.Fatalf("LookupKey after upgrade = %q/%v", got.Plans, ok)
 	}
-	// A handoff refresh arriving after the upgrade must not strip the
-	// learned shape.
+	// A fingerprint-only refresh arriving after the upgrade must not strip
+	// the learned shape.
 	b.Put(Key{Profile: fp}, Entry{Plans: plans(2), Source: fp})
 	if got, ok := b.LookupShape("sA"); !ok || !bytes.Equal(got.Plans, plans(2)) {
 		t.Fatalf("shape lost after fingerprint-only refresh: %q/%v", got.Plans, ok)
@@ -321,12 +321,12 @@ func TestPutUpgradesFingerprintOnlyAlias(t *testing.T) {
 // references an evicted element, and Len agrees with the map sizes.
 func TestEvictionChurnKeepsMapsConsistent(t *testing.T) {
 	s := New(8)
-	b := s.Backend().(*Local)
+	b := s.lru
 	shapes := []string{"sA", "sB", "sC"}
 	for i := 0; i < 200; i++ {
 		k := key(i, shapes[i%len(shapes)])
 		mustCompute(t, s, k, i)
-		if i%7 == 0 { // sprinkle direct Puts (replication path) into the churn
+		if i%7 == 0 { // sprinkle direct Puts (aggregation path) into the churn
 			b.Put(key(i/2, shapes[(i/2)%len(shapes)]), Entry{Plans: plans(i), Source: k.Profile})
 		}
 		if i%13 == 0 {
@@ -350,103 +350,5 @@ func TestEvictionChurnKeepsMapsConsistent(t *testing.T) {
 		if !ok || !bytes.Equal(got.Plans, want) {
 			t.Fatalf("Get(%s) = %q/%v, want %q", fp, got.Plans, ok, want)
 		}
-	}
-}
-
-// fakePeer is an in-memory Peer for handoff and replication tests.
-type fakePeer struct {
-	mu      sync.Mutex
-	entries map[wire.Fingerprint]Entry
-	gets    atomic.Int64
-	puts    atomic.Int64
-}
-
-func newFakePeer() *fakePeer {
-	return &fakePeer{entries: make(map[wire.Fingerprint]Entry)}
-}
-
-func (p *fakePeer) Lookup(fp wire.Fingerprint) (Entry, bool) {
-	p.gets.Add(1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.entries[fp]
-	return e, ok
-}
-
-func (p *fakePeer) Put(k Key, e Entry) {
-	p.puts.Add(1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries[k.Profile] = e
-}
-
-func TestWarmHandoffServesSiblingPlans(t *testing.T) {
-	peer := newFakePeer()
-	k := key(1, "sA")
-	peer.entries[k.Profile] = Entry{Plans: plans(1), Source: k.Profile}
-	s := NewWithBackend(NewReplicated(NewLocal(4), []Peer{newFakePeer(), peer}, false))
-
-	computed := false
-	got, res, err := s.GetOrCompute(k, func() ([]byte, error) {
-		computed = true
-		return plans(99), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed {
-		t.Fatal("handoff must not run the analysis")
-	}
-	if res.Outcome != OutcomeHandoff || !bytes.Equal(got, plans(1)) {
-		t.Fatalf("result = %+v %q, want handoff of sibling plans", res, got)
-	}
-	// The handed-off plans are now local: a repeat is an exact hit with
-	// no further sibling traffic.
-	before := peer.gets.Load()
-	if res := mustCompute(t, s, k, 99); res.Outcome != OutcomeHit {
-		t.Fatalf("repeat outcome = %v, want hit", res.Outcome)
-	}
-	if peer.gets.Load() != before {
-		t.Fatal("repeat request went back to the sibling")
-	}
-	c := s.Counters()
-	if c["plan_cache_handoffs"] != 1 || c["plan_cache_misses"] != 0 {
-		t.Fatalf("counters = %v", c)
-	}
-
-	// A fingerprint nobody holds falls through to compute.
-	k2 := key(2, "sB")
-	if res := mustCompute(t, s, k2, 2); res.Outcome != OutcomeMiss {
-		t.Fatalf("unheld fingerprint outcome = %v, want miss", res.Outcome)
-	}
-}
-
-func TestHandoffOnGetByFingerprint(t *testing.T) {
-	peer := newFakePeer()
-	fp := wire.Fingerprint("fp-001")
-	peer.entries[fp] = Entry{Plans: plans(1), Source: fp}
-	s := NewWithBackend(NewReplicated(NewLocal(4), []Peer{peer}, false))
-
-	got, ok := s.Get(fp)
-	if !ok || !bytes.Equal(got.Plans, plans(1)) {
-		t.Fatalf("Get via handoff = %q/%v", got.Plans, ok)
-	}
-	// Cached locally now; GetLocal (the sibling-serving path) sees it
-	// without recursing.
-	if _, ok := s.GetLocal(fp); !ok {
-		t.Fatal("handed-off entry not cached locally")
-	}
-}
-
-func TestReplicationPushMirrorsPuts(t *testing.T) {
-	peer := newFakePeer()
-	s := NewWithBackend(NewReplicated(NewLocal(4), []Peer{peer}, true))
-	k := key(1, "sA")
-	mustCompute(t, s, k, 1)
-	if e, ok := peer.entries[k.Profile]; !ok || !bytes.Equal(e.Plans, plans(1)) {
-		t.Fatalf("peer did not receive the replica: %+v/%v", e, ok)
-	}
-	if got := s.Counters()["plan_cache_replication_pushes"]; got != 1 {
-		t.Fatalf("replication pushes = %d, want 1", got)
 	}
 }

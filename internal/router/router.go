@@ -9,9 +9,11 @@
 // the path, which by construction agrees with where the ingest went.
 //
 // On a shard failure (transport error or 5xx) the router retries the
-// next distinct member in the key's ring order. Combined with the
-// shards' own warm handoff, a killed shard degrades to slightly slower
-// responses — not errors — as its keyspace neighbors take over.
+// next distinct member in the key's ring order; this failover is the
+// fleet's only recovery path. A killed shard degrades to slower
+// responses — not errors — as its keyspace neighbors take over: the
+// first ingest of each of its profiles is a miss on the successor, which
+// re-runs the analysis and serves that key from its own cache after.
 //
 //	POST /v1/profiles   → owner shard (failover along the ring)
 //	GET  /v1/plans/{fp} → owner shard (failover along the ring)

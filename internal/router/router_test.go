@@ -96,7 +96,9 @@ func TestRoutedIngestAndFetchAgree(t *testing.T) {
 }
 
 // TestFailoverToNextRingMember: killing the owner mid-run degrades to
-// the next shard answering — the client sees 404/2xx, never a 502.
+// the next shard answering — the client sees 404/2xx, never a 502 — and
+// the successor's re-analysis serves the plans a live single server
+// computes, byte for byte.
 func TestFailoverToNextRingMember(t *testing.T) {
 	rt, shards := fleet(t, 3, service.Config{})
 	ts := httptest.NewServer(rt.Handler())
@@ -115,15 +117,45 @@ func TestFailoverToNextRingMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("ingest with dead owner = %d, want 201 from a successor", resp.StatusCode)
 	}
-	if got := resp.Header.Get(HeaderShard); got != rt.Ring().Successors(fp, 2)[1] {
+	successor := rt.Ring().Successors(fp, 2)[1]
+	if got := resp.Header.Get(HeaderShard); got != successor {
 		t.Fatalf("served by %s, want the owner's first successor", got)
 	}
 	if rt.Counters()["router_failovers"] == 0 {
 		t.Fatal("failover not counted")
+	}
+
+	get, err := http.Get(ts.URL + "/v1/plans/" + fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, _ := io.ReadAll(get.Body)
+	get.Body.Close()
+	if get.StatusCode != http.StatusOK || get.Header.Get(HeaderShard) != successor {
+		t.Fatalf("routed GET with dead owner = %d via %s, want 200 via %s",
+			get.StatusCode, get.Header.Get(HeaderShard), successor)
+	}
+
+	single := httptest.NewServer(service.New(service.Config{}).Handler())
+	defer single.Close()
+	ing, err := http.Post(single.URL+"/v1/profiles", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing.Body.Close()
+	ref, err := http.Get(single.URL + "/v1/plans/" + fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(ref.Body)
+	ref.Body.Close()
+	if ref.StatusCode != http.StatusOK || !bytes.Equal(plans, want) {
+		t.Fatalf("failover plans (%d bytes) differ from a single server's (%d, %d bytes)",
+			len(plans), ref.StatusCode, len(want))
 	}
 }
 

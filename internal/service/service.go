@@ -8,7 +8,7 @@
 //	POST /v1/profiles        ingest a profile, return {fingerprint, outcome}
 //	GET  /v1/plans/{fp}      fetch canonical plan-set bytes by fingerprint
 //	GET  /v1/healthz         liveness + cache size
-//	GET  /v1/metrics         plan-cache / backpressure counters (+ obs report)
+//	GET  /v1/metrics         plan-cache / backpressure counters
 //	GET  /debug/pprof/profile  net/http/pprof CPU profile (?seconds=), the
 //	                         file `go build -pgo` takes
 //
@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -58,6 +57,11 @@ const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxBodyBytes   = 64 << 20
 )
+
+// HeaderSource on a GET /v1/plans/{fp} reply names the profile the
+// served plans were computed from (differs from {fp} on stale matches
+// and merged aggregation windows).
+const HeaderSource = "X-Apt-Source"
 
 // maxCaptureWait bounds one /debug/pprof/profile request: 120 s of
 // capture plus 15 s grace for writing the response. pprof.Profile takes
@@ -87,16 +91,6 @@ type Config struct {
 	// MaxBodyBytes caps the ingest payload.
 	MaxBodyBytes int64
 
-	// Peers lists sibling shard addresses (host:port or http URL). When
-	// non-empty the plan cache becomes a Replicated backend: local misses
-	// try a warm handoff from each peer before computing, and internal
-	// requests from peers are answered from the local cache only.
-	Peers []string
-
-	// Replicate pushes every cached plan set to all Peers (best-effort),
-	// so any single shard can die without losing the fleet's plans.
-	Replicate bool
-
 	// AggregateWindow ≥2 enables fleet-wide profile aggregation on
 	// ingest: up to AggregateWindow cold same-shape profiles arriving
 	// within AggregateWait are merged (sample-count weighted) and
@@ -106,10 +100,6 @@ type Config struct {
 	// AggregateWait bounds how long the first profile of a window waits
 	// for the rest of a fleet burst (≤0 → aggregate.DefaultWait).
 	AggregateWait time.Duration
-
-	// PeerTimeout bounds one warm-handoff lookup or replication push
-	// (≤0 → planstore.DefaultRemoteTimeout).
-	PeerTimeout time.Duration
 }
 
 func (c *Config) fill() {
@@ -144,13 +134,8 @@ type Server struct {
 	sem     chan struct{}
 	handler http.Handler
 
-	rejected    atomic.Int64
-	oversize    atomic.Int64
-	replicaPuts atomic.Int64
-
-	// sp is the long-lived serve span the cache counters mirror into
-	// when the obs registry is enabled at construction (aptgetd -report).
-	sp *obs.Span
+	rejected atomic.Int64
+	oversize atomic.Int64
 }
 
 // IngestResponse is the POST /v1/profiles reply.
@@ -160,9 +145,8 @@ type IngestResponse struct {
 	ShapeHash   string `json:"shape_hash"`
 	Plans       int    `json:"plans"`
 	// Outcome is how the request was served: "miss" (this request ran
-	// the analysis), "hit" (exact fingerprint), "stale_match",
-	// "handoff" (served from a sibling shard's cache), or "aggregated"
-	// (served from one analysis of a merged fleet window).
+	// the analysis), "hit" (exact fingerprint), "stale_match", or
+	// "aggregated" (served from one analysis of a merged fleet window).
 	Outcome      string `json:"outcome"`
 	StaleMatched bool   `json:"stale_matched"`
 	// Aggregated is the number of profiles merged into the analysis that
@@ -173,47 +157,31 @@ type IngestResponse struct {
 	SourceFingerprint string `json:"source_fingerprint,omitempty"`
 }
 
-// MetricsResponse is the GET /v1/metrics reply. Counters always carries
-// the plan-cache and backpressure counters; Obs carries the full span
-// report when the obs registry is enabled.
+// MetricsResponse is the GET /v1/metrics reply: the plan-cache,
+// backpressure and aggregation counters.
 type MetricsResponse struct {
 	Counters map[string]int64 `json:"counters"`
-	Obs      *obs.Report      `json:"obs,omitempty"`
 }
 
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// New constructs a server. If the obs registry is enabled when New runs,
-// the server opens one long-lived "aptgetd/service" serve span and
-// mirrors its counters there, so a daemon-written report agrees with
-// /v1/metrics.
+// New constructs a server.
 func New(cfg Config) *Server {
 	cfg.fill()
-	var backend planstore.Backend = planstore.NewLocal(cfg.CacheCapacity)
-	if len(cfg.Peers) > 0 {
-		peers := make([]planstore.Peer, 0, len(cfg.Peers))
-		for _, addr := range cfg.Peers {
-			peers = append(peers, planstore.NewRemote(addr, cfg.PeerTimeout))
-		}
-		backend = planstore.NewReplicated(backend, peers, cfg.Replicate)
-	}
 	s := &Server{
 		cfg:   cfg,
-		store: planstore.NewWithBackend(backend),
+		store: planstore.New(cfg.CacheCapacity),
 		sem:   make(chan struct{}, cfg.MaxInflight),
-		sp:    obs.Begin("aptgetd/service", obs.StageServe),
 	}
 	if cfg.AggregateWindow >= 2 {
 		s.batcher = aggregate.NewBatcher(cfg.AggregateWindow, cfg.AggregateWait)
 	}
-	s.store.AttachObs(s.sp)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handleIngest)
 	mux.HandleFunc("GET /v1/plans/{fp}", s.handlePlans)
-	mux.HandleFunc("PUT /v1/plans/{fp}", s.handlePlanPut)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 
@@ -236,16 +204,12 @@ func New(cfg Config) *Server {
 // tests and embedding; Serve wraps it in a listener lifecycle.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Store exposes the plan cache (aptgetd startup logging, tests).
-func (s *Server) Store() *planstore.Store { return s.store }
-
 // Counters merges the plan-cache counters with the server's own — the
 // numbers /v1/metrics serves.
 func (s *Server) Counters() map[string]int64 {
 	c := s.store.Counters()
 	c["requests_rejected_backpressure"] = s.rejected.Load()
 	c["requests_rejected_oversize"] = s.oversize.Load()
-	c["plan_cache_replica_puts"] = s.replicaPuts.Load()
 	if s.batcher != nil {
 		for k, v := range s.batcher.Counters() {
 			c[k] += v
@@ -254,8 +218,9 @@ func (s *Server) Counters() map[string]int64 {
 	return c
 }
 
-// Close ends the server's obs spans. Idempotent; Serve calls it on exit.
-func (s *Server) Close() { s.sp.End() }
+// Close is a no-op: the server holds nothing beyond the listener Serve
+// owns. It stays so existing callers that defer it keep compiling.
+func (s *Server) Close() {}
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts
 // down gracefully (in-flight requests get up to 5s to drain). Returns
@@ -278,10 +243,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		<-errc // srv.Serve has returned http.ErrServerClosed
-		s.Close()
 		return err
 	case err := <-errc:
-		s.Close()
 		if errors.Is(err, http.ErrServerClosed) {
 			return nil
 		}
@@ -304,7 +267,6 @@ func (s *Server) release() { <-s.sem }
 // reject answers 429 and counts the rejection.
 func (s *Server) reject(w http.ResponseWriter) {
 	s.rejected.Add(1)
-	s.sp.Add("requests_rejected_backpressure", 1)
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests,
 		errorResponse{Error: "server at capacity"})
@@ -321,7 +283,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// client declares its length — the stream is never consumed.
 	if r.ContentLength > s.cfg.MaxBodyBytes {
 		s.oversize.Add(1)
-		s.sp.Add("requests_rejected_oversize", 1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
 			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
 				r.ContentLength, s.cfg.MaxBodyBytes),
@@ -429,82 +390,18 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 
 	fp := wire.Fingerprint(r.PathValue("fp"))
-	var (
-		e  planstore.Entry
-		ok bool
-	)
-	if r.Header.Get(planstore.HeaderInternal) != "" {
-		// A sibling shard asking for a warm handoff: answer from the local
-		// cache only, so handoffs cannot recurse around the fleet.
-		e, ok = s.store.GetLocal(fp)
-	} else {
-		e, ok = s.store.Get(fp)
-	}
+	e, ok := s.store.Get(fp)
 	if !ok {
 		writeJSON(w, http.StatusNotFound,
 			errorResponse{Error: fmt.Sprintf("no plans for fingerprint %q", fp)})
 		return
 	}
 	if e.Source != "" {
-		w.Header().Set(planstore.HeaderSource, string(e.Source))
+		w.Header().Set(HeaderSource, string(e.Source))
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	w.Write(e.Plans)
-}
-
-// handlePlanPut is the replication endpoint: a sibling shard pushing a
-// plan set it computed. The body must decode as a canonical plan set;
-// the key comes from the path fingerprint plus the X-Apt-Shape /
-// X-Apt-Source headers. Stored locally only — replicas are never
-// re-pushed, so push replication cannot echo around the fleet.
-func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
-	if !s.acquire() {
-		s.reject(w)
-		return
-	}
-	defer s.release()
-
-	if r.ContentLength > s.cfg.MaxBodyBytes {
-		s.oversize.Add(1)
-		s.sp.Add("requests_rejected_oversize", 1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
-				r.ContentLength, s.cfg.MaxBodyBytes),
-		})
-		return
-	}
-	plans, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
-		return
-	}
-	if _, err := wire.DecodePlanSet(plans); err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity,
-			errorResponse{Error: fmt.Sprintf("body is not a canonical plan set: %v", err)})
-		return
-	}
-	key := planstore.Key{
-		Profile: wire.Fingerprint(r.PathValue("fp")),
-		Shape:   wire.ShapeHash(r.Header.Get(planstore.HeaderShape)),
-	}
-	if key.Profile == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty fingerprint"})
-		return
-	}
-	src := wire.Fingerprint(r.Header.Get(planstore.HeaderSource))
-	if src == "" {
-		src = key.Profile
-	}
-	s.store.PutLocal(key, planstore.Entry{Plans: plans, Source: src})
-	s.replicaPuts.Add(1)
-	s.sp.Add("plan_cache_replica_puts", 1)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -515,11 +412,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	resp := MetricsResponse{Counters: s.Counters()}
-	if obs.Enabled() {
-		resp.Obs = obs.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, MetricsResponse{Counters: s.Counters()})
 }
 
 // computePlans is the cache-miss path: rebuild the named workload (the

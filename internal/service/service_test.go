@@ -196,9 +196,6 @@ func TestSingleFlightConcurrentIngest(t *testing.T) {
 	if m.Counters["plan_cache_misses"] != 1 || m.Counters["plan_cache_hits"] != int64(n-1) {
 		t.Fatalf("metrics counters = %v", m.Counters)
 	}
-	if m.Obs == nil {
-		t.Fatal("metrics response missing obs report while registry enabled")
-	}
 }
 
 // driftPCs deep-copies the profile and shifts every raw PC, modeling a
@@ -458,55 +455,71 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestMetricsReportOversizeAndReplicaPuts: with the obs registry off
-// (the daemon default), /v1/metrics still reports oversize rejections
-// and replica PUTs — they are server counters, not span-only mirrors.
-func TestMetricsReportOversizeAndReplicaPuts(t *testing.T) {
+// TestMetricsReportOversize: with the obs registry off (the daemon
+// default), /v1/metrics reports oversize rejections.
+func TestMetricsReportOversize(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("obs registry must be off for this test")
 	}
 	ts := httptest.NewServer(New(Config{MaxBodyBytes: 16}).Handler())
 	defer ts.Close()
 
-	send := func(method, path string, body []byte) int {
-		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
 	big := bytes.Repeat([]byte("x"), 64)
-	if st := send(http.MethodPost, "/v1/profiles", big); st != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize POST = %d, want 413", st)
+	for i := 0; i < 2; i++ {
+		if st, _ := postProfile(t, ts, big); st != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize POST = %d, want 413", st)
+		}
 	}
-	if st := send(http.MethodPut, "/v1/plans/abc", big); st != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize PUT = %d, want 413", st)
+	m := getMetrics(t, ts)
+	if got, ok := m.Counters["requests_rejected_oversize"]; !ok || got != 2 {
+		t.Errorf("counters[requests_rejected_oversize] = %d (present %v), want 2", got, ok)
 	}
-	plans := wire.EncodePlanSet(&wire.PlanSet{App: "IS"})
-	if len(plans) > 16 {
-		t.Fatalf("empty plan set is %d bytes, over the 16-byte body limit", len(plans))
-	}
-	if st := send(http.MethodPut, "/v1/plans/abc", plans); st != http.StatusNoContent {
-		t.Fatalf("replica PUT = %d, want 204", st)
+}
+
+// TestMetricsOmitsObsHistory: with the obs registry on (aptgetd
+// -report), /v1/metrics serves counters only. The registry keeps every
+// analysis span for the report, so embedding it made each scrape grow
+// with daemon uptime.
+func TestMetricsOmitsObsHistory(t *testing.T) {
+	apps := []string{"IS", "randAcc", "HJ2"}
+	bodies := make([][]byte, len(apps))
+	for i, app := range apps {
+		_, bodies[i] = mustCollect(t, app) // collect before enabling obs
 	}
 
-	m := getMetrics(t, ts)
-	if m.Obs != nil {
-		t.Fatal("metrics carried an obs report with the registry off")
-	}
-	for name, want := range map[string]int64{
-		"requests_rejected_oversize": 2,
-		"plan_cache_replica_puts":    1,
-	} {
-		if got, ok := m.Counters[name]; !ok || got != want {
-			t.Errorf("counters[%q] = %d (present %v), want %d", name, got, ok, want)
+	obs.Enable()
+	obs.Reset()
+	defer obs.Disable()
+
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	for i, body := range bodies {
+		if st, ing := postProfile(t, ts, body); st != http.StatusCreated || ing.Outcome != "miss" {
+			t.Fatalf("%s ingest = %d %+v, want 201 miss", apps[i], st, ing)
 		}
+	}
+	if n := len(obs.Snapshot().Records); n < len(apps) {
+		t.Fatalf("obs registry holds %d records, want ≥%d analysis spans", n, len(apps))
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := body["obs"]; ok {
+		t.Fatal("/v1/metrics embeds the obs span history")
+	}
+	var counters map[string]int64
+	if err := json.Unmarshal(body["counters"], &counters); err != nil {
+		t.Fatal(err)
+	}
+	if counters["plan_cache_misses"] != int64(len(apps)) {
+		t.Fatalf("counters = %v, want %d misses", counters, len(apps))
 	}
 }
 
