@@ -18,7 +18,7 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"aptget/internal/ir"
 	"aptget/internal/lbr"
@@ -188,6 +188,7 @@ func Analyze(prog *ir.Program, prof *profile.Profile, opt Options) ([]Plan, erro
 	sp := opt.Obs
 	f := prog.Func
 	forest := ir.AnalyzeLoops(f)
+	timings := &loopTimings{samples: prof.Samples, opt: opt, memo: map[string]LoopTiming{}}
 
 	var plans []Plan
 	for _, dl := range prof.Loads {
@@ -201,7 +202,7 @@ func Analyze(prog *ir.Program, prof *profile.Profile, opt Options) ([]Plan, erro
 			sp.Add("loads_outside_loops", 1)
 			continue
 		}
-		plan := planForLoad(f, forest, prof.Samples, dl, v, loop, opt)
+		plan := planForLoad(f, timings, prof.Samples, dl, v, loop, opt)
 		plans = append(plans, plan)
 	}
 	sp.Set("delinquent_loads", int64(len(prof.Loads)))
@@ -226,7 +227,7 @@ func Analyze(prog *ir.Program, prof *profile.Profile, opt Options) ([]Plan, erro
 	return plans, nil
 }
 
-func planForLoad(f *ir.Func, forest *ir.LoopForest, samples []lbr.Sample,
+func planForLoad(f *ir.Func, timings *loopTimings, samples []lbr.Sample,
 	dl pebs.Load, v ir.Value, loop *ir.Loop, opt Options) Plan {
 
 	plan := Plan{
@@ -247,7 +248,7 @@ func planForLoad(f *ir.Func, forest *ir.LoopForest, samples []lbr.Sample,
 		}
 	}
 
-	plan.Inner = measureLoop(innerPCs, outerPCs, samples, opt)
+	plan.Inner = timings.measure(innerPCs, outerPCs)
 	headerPC := f.Instrs[f.Blocks[loop.Header].Instrs[0]].PC
 	runs := tripRuns(innerPCs, outerPCs, headerPC, samples)
 	plan.AvgTrip = avgTrip(runs)
@@ -264,7 +265,7 @@ func planForLoad(f *ir.Func, forest *ir.LoopForest, samples []lbr.Sample,
 		// the outer loop directly (§3.3).
 		if !opt.DisableOuter && loop.Parent != nil &&
 			loop.Parent.InductionPhi(f) != ir.NoValue {
-			outer := measureLoop(outerPCs, grandPCs, samples, opt)
+			outer := timings.measure(outerPCs, grandPCs)
 			if len(outer.Latencies) >= opt.MinSamples && len(outer.Peaks) >= 2 {
 				plan.Outer = &outer
 				plan.OuterDistance = distanceFromTiming(outer, opt)
@@ -330,7 +331,7 @@ func planForLoad(f *ir.Func, forest *ir.LoopForest, samples []lbr.Sample,
 	// outer iteration time as trip × IC_inner (a baseline outer
 	// iteration contains the very stalls prefetching removes, so Eq. 1
 	// applied mechanically to the baseline peaks would over-prefetch).
-	outer := measureLoop(outerPCs, grandPCs, samples, opt)
+	outer := timings.measure(outerPCs, grandPCs)
 	plan.Outer = &outer
 	outerIC := plan.AvgTrip * plan.Inner.IC
 	if outerIC < 1 {
@@ -377,8 +378,37 @@ func latchPCs(f *ir.Func, l *ir.Loop) []uint64 {
 			out = append(out, f.Instrs[t].PC)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// loopTimings memoizes measureLoop for one Analyze call. Loads in the
+// same loop measure the same latch and breaker PCs over the same samples
+// and options, so each distinct loop's histogram goes through the CWT
+// once. The memo lives only as long as the call: nothing is shared
+// between analyses, and Analyze keeps no state in the program.
+type loopTimings struct {
+	samples []lbr.Sample
+	opt     Options
+	memo    map[string]LoopTiming
+}
+
+// measure returns measureLoop(latch, breakers, ...) with slices the
+// caller owns: every plan gets its own LatchPCs, Latencies and Peaks,
+// so writing into one plan's timing never reaches another's.
+func (t *loopTimings) measure(latch, breakers []uint64) LoopTiming {
+	key := fmt.Sprint(latch, breakers)
+	lt, ok := t.memo[key]
+	if ok {
+		t.opt.Obs.Add("loop_timing_reused", 1)
+	} else {
+		lt = measureLoop(latch, breakers, t.samples, t.opt)
+		t.memo[key] = lt
+	}
+	lt.LatchPCs = slices.Clone(lt.LatchPCs)
+	lt.Latencies = slices.Clone(lt.Latencies)
+	lt.Peaks = slices.Clone(lt.Peaks)
+	return lt
 }
 
 func contains(pcs []uint64, pc uint64) bool {

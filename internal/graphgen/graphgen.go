@@ -12,7 +12,7 @@ package graphgen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph in compressed sparse row form — the layout
@@ -81,8 +81,7 @@ func fromEdges(name string, n int64, src, dst []int64, seed int64) *Graph {
 		next[u]++
 	}
 	for i := int64(0); i < n; i++ {
-		seg := col[row[i]:row[i+1]]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
+		slices.Sort(col[row[i]:row[i+1]])
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 	w := make([]int64, len(col))
@@ -97,7 +96,8 @@ func fromEdges(name string, n int64, src, dst []int64, seed int64) *Graph {
 // (p2p-Gnutella31).
 func Uniform(name string, n, degree, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	var src, dst []int64
+	src := make([]int64, 0, n*(degree+1))
+	dst := make([]int64, 0, n*(degree+1))
 	for u := int64(0); u < n; u++ {
 		d := degree
 		if rng.Intn(2) == 0 { // mild irregularity
@@ -116,9 +116,14 @@ func Uniform(name string, n, degree, seed int64) *Graph {
 // the web-Google/web-BerkStan/loc-Brightkite class.
 func PowerLaw(name string, n int64, avgDegree float64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, 1.5, 1.0, uint64(avgDegree*12))
-	var src, dst []int64
+	imax := uint64(avgDegree * 12)
+	z := rand.NewZipf(rng, 1.5, 1.0, imax)
 	target := int64(avgDegree * float64(n))
+	// The loop stops after the first burst that reaches target, and a
+	// burst is at most imax+1 edges (Zipf draws are bounded by imax), so
+	// the slices never grow; the overshoot is cut off below.
+	src := make([]int64, 0, target+int64(imax)+1)
+	dst := make([]int64, 0, target+int64(imax)+1)
 	for int64(len(src)) < target {
 		u := rng.Int63n(n)
 		d := int64(z.Uint64()) + 1
@@ -140,7 +145,9 @@ func PowerLaw(name string, n int64, avgDegree float64, seed int64) *Graph {
 // class (roadNet-CA/roadNet-PA): degree ≈ 4, huge diameter.
 func Grid(name string, rows, cols int64, seed int64) *Graph {
 	n := rows * cols
-	var src, dst []int64
+	m := max(2*(2*n-rows-cols), 0)
+	src := make([]int64, 0, m)
+	dst := make([]int64, 0, m)
 	at := func(r, c int64) int64 { return r*cols + c }
 	for r := int64(0); r < rows; r++ {
 		for c := int64(0); c < cols; c++ {
@@ -161,34 +168,58 @@ func Grid(name string, rows, cols int64, seed int64) *Graph {
 // Kronecker generates a Graph500-style R-MAT graph with the reference
 // initiator probabilities (A=0.57, B=0.19, C=0.19) and the given scale
 // (N = 2^scale) and edge factor.
+//
+// Each bit's quadrant is picked by one rng.Int63 draw compared against
+// integer thresholds. That is the same decision as comparing
+// rng.Float64() against A, A+B and A+B+C (including Float64's redraw
+// when the value rounds to 1), because Float64 is float64(Int63())/2^63,
+// which is monotone in the draw; see f64Bound.
 func Kronecker(name string, scale, edgeFactor, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := int64(1) << uint(scale)
 	m := n * edgeFactor
-	src := make([]int64, 0, m)
-	dst := make([]int64, 0, m)
-	const a, b, c = 0.57, 0.19, 0.19
+	src := make([]int64, m)
+	dst := make([]int64, m)
+	ta, tab, tabc, tone := f64Bound(kronA), f64Bound(kronA+kronB), f64Bound(kronA+kronB+kronC), f64Bound(1)
 	for i := int64(0); i < m; i++ {
 		var u, v int64
-		for bit := int64(0); bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// quadrant (0,0)
-			case r < a+b:
-				v |= 1 << uint(bit)
-			case r < a+b+c:
-				u |= 1 << uint(bit)
-			default:
-				u |= 1 << uint(bit)
-				v |= 1 << uint(bit)
+		for bit := uint(0); bit < uint(scale); bit++ {
+			x := rng.Int63()
+			for x >= tone {
+				x = rng.Int63()
 			}
+			// Quadrant (u, v): (0,0) below A, (0,1) below A+B, (1,0)
+			// below A+B+C, (1,1) above.
+			u |= geq(x, tab) << bit
+			v |= (geq(x, ta) ^ geq(x, tab) ^ geq(x, tabc)) << bit
 		}
-		src = append(src, u)
-		dst = append(dst, v)
+		src[i], dst[i] = u, v
 	}
 	return fromEdges(name, n, src, dst, seed)
 }
+
+// The Graph500 reference initiator probabilities.
+const kronA, kronB, kronC = 0.57, 0.19, 0.19
+
+// f64Bound returns the smallest non-negative int63 x with
+// float64(x)/2^63 >= t, so that for every draw x of rng.Int63,
+// float64(x)/2^63 < t exactly when x < f64Bound(t).
+func f64Bound(t float64) int64 {
+	lo, hi := int64(0), int64(1<<63-1)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// geq returns 1 if x >= t and 0 otherwise, without a branch; both
+// arguments are non-negative, so t-1-x is negative exactly when x >= t.
+func geq(x, t int64) int64 { return int64(uint64(t-1-x) >> 63) }
 
 // Dataset names the synthetic stand-ins for Table 4 plus the Graph500
 // input. The sizes are scaled with the 512 KiB simulated LLC so the
