@@ -10,8 +10,10 @@ package aptget
 //
 //	go test -bench=. -benchmem
 //
-// The per-figure experiments take seconds to minutes each; substrate
-// microbenchmarks at the bottom measure the simulator itself.
+// The per-figure experiments take seconds to minutes each; a substrate
+// microbenchmark at the bottom measures the peak detector. The
+// simulator's own benchmarks (BenchmarkHotAccess, BenchmarkHotInterpreter,
+// BenchmarkHotSim) live beside the code in internal/mem and internal/cpu.
 
 import (
 	"fmt"
@@ -20,10 +22,7 @@ import (
 	"sync"
 	"testing"
 
-	"aptget/internal/cpu"
 	"aptget/internal/experiments"
-	"aptget/internal/ir"
-	"aptget/internal/mem"
 	"aptget/internal/peaks"
 )
 
@@ -102,41 +101,7 @@ func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
 func BenchmarkLBRWidth(b *testing.B) { runExperiment(b, "lbrwidth") }
 
 // ---------------------------------------------------------------------
-// Substrate microbenchmarks: the simulator itself.
-
-// BenchmarkSubstrateCacheAccess measures the memory-hierarchy model's
-// access throughput on a pseudo-random stream.
-func BenchmarkSubstrateCacheAccess(b *testing.B) {
-	h := mem.New(mem.ConfigScaled(), 1<<24)
-	x := uint64(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		h.Access(uint64(i)*4, 1, int64(x%(1<<23)), mem.KindLoad)
-	}
-}
-
-// BenchmarkSubstrateInterpreter measures IR interpretation speed
-// (instructions per second) on an ALU-heavy loop.
-func BenchmarkSubstrateInterpreter(b *testing.B) {
-	bld := ir.NewBuilder("bench")
-	out := bld.Alloc("out", 1, 8)
-	zero := bld.Const(0)
-	n := int64(100_000)
-	bld.Loop("i", zero, bld.Const(n), 1, func(i ir.Value) {
-		v := bld.Mul(bld.Add(i, bld.Const(3)), bld.Const(5))
-		bld.StoreElem(out, zero, bld.Xor(v, i))
-	})
-	p := bld.Finish()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cpu.Run(p, mem.ConfigScaled(), cpu.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(0)
-	b.ReportMetric(float64(n*6), "instrs/op")
-}
+// Substrate microbenchmark: the peak detector.
 
 // BenchmarkSubstrateCWT measures the peak detector on a Figure 4-sized
 // histogram.

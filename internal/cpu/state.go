@@ -28,10 +28,10 @@ type State struct {
 	ring *lbr.Record
 	res  *Result
 
-	regs       []int64
-	arg0, arg1 []ir.Value // pre-resolved first two operands per value
-	firstPC    []uint64   // per-block first-instruction PC (LBR targets)
-	phiVals    []int64    // scratch for two-phase phi resolution
+	regs    []int64
+	slots   []slot   // decoded instruction per value
+	firstPC []uint64 // per-block first-instruction PC (LBR targets)
+	phiVals []int64  // scratch for two-phase phi resolution
 
 	icount     uint64
 	cycle      uint64
@@ -91,24 +91,40 @@ func New(p *ir.Program, cfg mem.Config, opts Options) (*State, error) {
 	return s, nil
 }
 
-// growOperands extends the register file and the flat operand caches to
-// cover values [from, len(f.Instrs)).
+// slot is the decoded form of one instruction: everything Resume reads
+// on the hot path, packed into 32 bytes instead of an ir.Instr's 104.
+// Phis are resolved from the ir.Instr itself.
+type slot struct {
+	imm    int64 // OpConst: the constant; OpSelect: the third operand
+	pc     uint64
+	a0, a1 ir.Value
+	op     ir.Op
+	pred   ir.Pred
+	size   uint8
+}
+
+// growOperands extends the register file and decodes values
+// [from, len(f.Instrs)) into slots.
 func (s *State) growOperands(from int) {
 	fIns := s.f.Instrs
 	for len(s.regs) < len(fIns) {
 		s.regs = append(s.regs, 0)
 	}
-	for len(s.arg0) < len(fIns) {
-		s.arg0 = append(s.arg0, 0)
-		s.arg1 = append(s.arg1, 0)
+	for len(s.slots) < len(fIns) {
+		s.slots = append(s.slots, slot{})
 	}
 	for i := from; i < len(fIns); i++ {
-		s.arg0[i], s.arg1[i] = 0, 0
-		if a := fIns[i].Args; len(a) > 1 {
-			s.arg0[i], s.arg1[i] = a[0], a[1]
-		} else if len(a) == 1 {
-			s.arg0[i] = a[0]
+		ins := &fIns[i]
+		sl := slot{imm: ins.Imm, pc: ins.PC, op: ins.Op, pred: ins.Pred, size: ins.Size}
+		switch a := ins.Args; {
+		case ins.Op == ir.OpSelect:
+			sl.a0, sl.a1, sl.imm = a[0], a[1], int64(a[2])
+		case len(a) > 1:
+			sl.a0, sl.a1 = a[0], a[1]
+		case len(a) == 1:
+			sl.a0 = a[0]
 		}
+		s.slots[i] = sl
 	}
 }
 
@@ -301,7 +317,7 @@ func (s *State) Resume(stop uint64) (bool, error) {
 	// single-shot run.
 	fIns := f.Instrs
 	regs := s.regs
-	arg0, arg1 := s.arg0, s.arg1
+	slots := s.slots
 	firstPC := s.firstPC
 	sampling := s.sampling
 	period := s.opts.SamplePeriod
@@ -328,7 +344,7 @@ func (s *State) Resume(stop uint64) (bool, error) {
 		// Phase 1: phi resolution on block entry.
 		nPhi := 0
 		for _, v := range instrs {
-			if fIns[v].Op != ir.OpPhi {
+			if slots[v].op != ir.OpPhi {
 				break
 			}
 			nPhi++
@@ -358,95 +374,94 @@ func (s *State) Resume(stop uint64) (bool, error) {
 
 		var nextBlock ir.BlockID = ir.NoBlock
 
-		for idx := nPhi; idx < len(instrs); idx++ {
-			v := instrs[idx]
-			ins := &fIns[v]
-			switch ins.Op {
+		for _, v := range instrs[nPhi:] {
+			ins := &slots[v]
+			switch ins.op {
 			case ir.OpConst:
-				regs[v] = ins.Imm
+				regs[v] = ins.imm
 				cycle++
 
 			case ir.OpAdd:
-				regs[v] = regs[arg0[v]] + regs[arg1[v]]
+				regs[v] = regs[ins.a0] + regs[ins.a1]
 				cycle++
 			case ir.OpSub:
-				regs[v] = regs[arg0[v]] - regs[arg1[v]]
+				regs[v] = regs[ins.a0] - regs[ins.a1]
 				cycle++
 			case ir.OpMul:
-				regs[v] = regs[arg0[v]] * regs[arg1[v]]
+				regs[v] = regs[ins.a0] * regs[ins.a1]
 				cycle += 3
 			case ir.OpDiv:
-				d := regs[arg1[v]]
+				d := regs[ins.a1]
 				if d == 0 {
 					regs[v] = 0
 				} else {
-					regs[v] = regs[arg0[v]] / d
+					regs[v] = regs[ins.a0] / d
 				}
 				cycle += 20
 			case ir.OpRem:
-				d := regs[arg1[v]]
+				d := regs[ins.a1]
 				if d == 0 {
 					regs[v] = 0
 				} else {
-					regs[v] = regs[arg0[v]] % d
+					regs[v] = regs[ins.a0] % d
 				}
 				cycle += 20
 			case ir.OpAnd:
-				regs[v] = regs[arg0[v]] & regs[arg1[v]]
+				regs[v] = regs[ins.a0] & regs[ins.a1]
 				cycle++
 			case ir.OpOr:
-				regs[v] = regs[arg0[v]] | regs[arg1[v]]
+				regs[v] = regs[ins.a0] | regs[ins.a1]
 				cycle++
 			case ir.OpXor:
-				regs[v] = regs[arg0[v]] ^ regs[arg1[v]]
+				regs[v] = regs[ins.a0] ^ regs[ins.a1]
 				cycle++
 			case ir.OpShl:
-				regs[v] = regs[arg0[v]] << uint64(regs[arg1[v]]&63)
+				regs[v] = regs[ins.a0] << uint64(regs[ins.a1]&63)
 				cycle++
 			case ir.OpShr:
-				regs[v] = regs[arg0[v]] >> uint64(regs[arg1[v]]&63)
+				regs[v] = regs[ins.a0] >> uint64(regs[ins.a1]&63)
 				cycle++
 
 			case ir.OpCmp:
-				if ins.Pred.Eval(regs[arg0[v]], regs[arg1[v]]) {
+				if ins.pred.Eval(regs[ins.a0], regs[ins.a1]) {
 					regs[v] = 1
 				} else {
 					regs[v] = 0
 				}
 				cycle++
 			case ir.OpSelect:
-				if regs[arg0[v]] != 0 {
-					regs[v] = regs[arg1[v]]
+				if regs[ins.a0] != 0 {
+					regs[v] = regs[ins.a1]
 				} else {
-					regs[v] = regs[ins.Args[2]]
+					regs[v] = regs[ins.imm]
 				}
 				cycle++
 
 			case ir.OpLoad:
-				addr := regs[arg0[v]]
-				r := h.Access(cycle, ins.PC, addr, mem.KindLoad)
+				addr := regs[ins.a0]
+				r := h.Access(cycle, ins.pc, addr, mem.KindLoad)
 				cycle += r.Latency
-				regs[v] = h.Arena.Read(addr, ins.Size)
+				regs[v] = h.Arena.Read(addr, ins.size)
 				ctr.Loads++
 				if res.PEBS != nil && r.LLCMiss {
 					// Retired LLC-miss load: attribute the PC and the
 					// *exposed* stall — the full memory latency for a
 					// blocking miss, only the residual wait when the fill
 					// was already in flight (the PEBS latency field).
-					res.PEBS.ObserveMiss(ins.PC, r.Latency)
+					res.PEBS.ObserveMiss(ins.pc, r.Latency)
 				}
 
 			case ir.OpStore:
-				addr := regs[arg0[v]]
-				r := h.Access(cycle, ins.PC, addr, mem.KindStore)
+				addr := regs[ins.a0]
+				r := h.Access(cycle, ins.pc, addr, mem.KindStore)
 				cycle += r.Latency
-				h.Arena.Write(addr, regs[arg1[v]], ins.Size)
+				h.Arena.Write(addr, regs[ins.a1], ins.size)
 				ctr.Stores++
 
 			case ir.OpPrefetch:
-				addr := regs[arg0[v]]
+				addr := regs[ins.a0]
 				if addr >= 0 && addr < h.Arena.Size() {
-					r := h.Access(cycle, ins.PC, addr, mem.KindSWPrefetch)
+					r := h.Access(cycle, ins.pc, addr, mem.KindSWPrefetch)
 					cycle += r.Latency
 				} else {
 					// Out-of-bounds prefetch: real hardware drops it
@@ -458,10 +473,10 @@ func (s *State) Resume(stop uint64) (bool, error) {
 			case ir.OpBr:
 				ctr.Branches++
 				cycle++
-				if regs[arg0[v]] != 0 {
+				if regs[ins.a0] != 0 {
 					nextBlock = cur.Succs[0]
 					ctr.TakenBranches++
-					ring.Push(ins.PC, firstPC[nextBlock], cycle)
+					ring.Push(ins.pc, firstPC[nextBlock], cycle)
 				} else {
 					nextBlock = cur.Succs[1]
 				}
@@ -471,7 +486,7 @@ func (s *State) Resume(stop uint64) (bool, error) {
 				ctr.TakenBranches++
 				cycle++
 				nextBlock = cur.Succs[0]
-				ring.Push(ins.PC, firstPC[nextBlock], cycle)
+				ring.Push(ins.pc, firstPC[nextBlock], cycle)
 
 			case ir.OpRet:
 				cycle++
@@ -487,7 +502,7 @@ func (s *State) Resume(stop uint64) (bool, error) {
 			default:
 				return s.fail(icount, cycle, nextSample, prev, cur.ID,
 					fmt.Errorf("cpu: %s: unexecutable op %s at pc %d",
-						f.Name, ins.Op, ins.PC))
+						f.Name, ins.op, ins.pc))
 			}
 
 			icount++

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -72,31 +73,28 @@ func PoolLen(size int64) int {
 // Size returns the arena size in bytes.
 func (a *Arena) Size() int64 { return int64(len(a.data)) }
 
+// check panics unless [addr, addr+size) lies inside the arena. It
+// compares against len-size rather than computing addr+size, which
+// overflows for addresses near MaxInt64.
 func (a *Arena) check(addr int64, size int64) {
-	if addr < 0 || addr+size > int64(len(a.data)) {
-		panic(fmt.Sprintf("mem: access [%d,%d) outside arena of %d bytes", addr, addr+size, len(a.data)))
+	if addr < 0 || addr > int64(len(a.data))-size {
+		panic(fmt.Sprintf("mem: %d-byte access at %d outside arena of %d bytes", size, addr, len(a.data)))
 	}
 }
 
 // Read returns the sign-extended value of size bytes at addr.
 func (a *Arena) Read(addr int64, size uint8) int64 {
 	a.check(addr, int64(size))
+	b := a.data[addr:]
 	switch size {
 	case 1:
-		return int64(int8(a.data[addr]))
+		return int64(int8(b[0]))
 	case 2:
-		v := uint16(a.data[addr]) | uint16(a.data[addr+1])<<8
-		return int64(int16(v))
+		return int64(int16(binary.LittleEndian.Uint16(b)))
 	case 4:
-		v := uint32(a.data[addr]) | uint32(a.data[addr+1])<<8 |
-			uint32(a.data[addr+2])<<16 | uint32(a.data[addr+3])<<24
-		return int64(int32(v))
+		return int64(int32(binary.LittleEndian.Uint32(b)))
 	case 8:
-		var v uint64
-		for i := uint8(0); i < 8; i++ {
-			v |= uint64(a.data[addr+int64(i)]) << (8 * i)
-		}
-		return int64(v)
+		return int64(binary.LittleEndian.Uint64(b))
 	default:
 		panic(fmt.Sprintf("mem: unsupported read size %d", size))
 	}
@@ -105,11 +103,16 @@ func (a *Arena) Read(addr int64, size uint8) int64 {
 // Write stores the low size bytes of val at addr.
 func (a *Arena) Write(addr int64, val int64, size uint8) {
 	a.check(addr, int64(size))
+	b := a.data[addr:]
 	switch size {
-	case 1, 2, 4, 8:
-		for i := uint8(0); i < size; i++ {
-			a.data[addr+int64(i)] = byte(uint64(val) >> (8 * i))
-		}
+	case 1:
+		b[0] = byte(val)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(val))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(val))
+	case 8:
+		binary.LittleEndian.PutUint64(b, uint64(val))
 	default:
 		panic(fmt.Sprintf("mem: unsupported write size %d", size))
 	}

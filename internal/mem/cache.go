@@ -1,20 +1,33 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// way is one cache way within a set.
-type way struct {
-	line     int64
-	valid    bool
-	lru      uint64 // larger = more recently used
-	prefetch bool   // installed by a prefetch (SW or HW)
-	swPref   bool   // installed by a software prefetch specifically
-	touched  bool   // referenced by a demand access since install
-}
+// Per-way state bits.
+const (
+	flagPrefetch uint8 = 1 << iota // installed by a prefetch (SW or HW)
+	flagSWPref                     // installed by a software prefetch specifically
+	flagTouched                    // referenced by a demand access since install
+)
 
-// cache is a single set-associative LRU cache level.
+// invalidLine marks an empty way. No line can equal it: lines are
+// addr>>lineShift, so even the most negative address maps above it.
+const invalidLine int64 = math.MinInt64
+
+// cache is a single set-associative LRU cache level, stored as flat
+// per-way arrays: way w of set s lives at index s*ways+w.
+//
+// Ways are never invalidated (Flush builds a fresh cache), and a fill
+// takes the highest-numbered empty way, so the empty ways of a set are
+// always [0, ways-filled[s]).
 type cache struct {
-	sets    [][]way
+	tags    []int64  // resident line, or invalidLine
+	lru     []uint64 // larger = more recently used
+	flags   []uint8
+	filled  []uint32 // valid ways per set
+	ways    int
 	setMask int64
 	lruTick uint64
 }
@@ -27,45 +40,44 @@ func newCache(lc LevelConfig) *cache {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("mem: %v", lc.Validate()))
 	}
-	sets := make([][]way, n)
-	backing := make([]way, n*lc.Ways)
-	for i := range sets {
-		sets[i] = backing[i*lc.Ways : (i+1)*lc.Ways]
+	c := &cache{
+		tags:    make([]int64, n*lc.Ways),
+		lru:     make([]uint64, n*lc.Ways),
+		flags:   make([]uint8, n*lc.Ways),
+		filled:  make([]uint32, n),
+		ways:    lc.Ways,
+		setMask: int64(n - 1),
 	}
-	return &cache{sets: sets, setMask: int64(n - 1)}
+	for i := range c.tags {
+		c.tags[i] = invalidLine
+	}
+	return c
 }
 
-func (c *cache) set(line int64) []way { return c.sets[line&c.setMask] }
+// find returns the flat index of line's way, or -1.
+func (c *cache) find(line int64) int {
+	base := int(line&c.setMask) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == line {
+			return base + i
+		}
+	}
+	return -1
+}
 
 // lookup probes for a line; on hit it updates recency and the touched bit
-// (when demand is true) and returns the way.
-func (c *cache) lookup(line int64, demand bool) *way {
-	s := c.sets[line&c.setMask]
-	if len(s) == 1 {
-		// Direct-mapped fast path: one candidate, no associative scan.
-		w := &s[0]
-		if !w.valid || w.line != line {
-			return nil
-		}
-		c.lruTick++
-		w.lru = c.lruTick
-		if demand {
-			w.touched = true
-		}
-		return w
+// (when demand is true).
+func (c *cache) lookup(line int64, demand bool) bool {
+	i := c.find(line)
+	if i < 0 {
+		return false
 	}
-	for i := range s {
-		w := &s[i]
-		if w.valid && w.line == line {
-			c.lruTick++
-			w.lru = c.lruTick
-			if demand {
-				w.touched = true
-			}
-			return w
-		}
+	c.lruTick++
+	c.lru[i] = c.lruTick
+	if demand {
+		c.flags[i] |= flagTouched
 	}
-	return nil
+	return true
 }
 
 // evicted describes a victim pushed out by install.
@@ -76,67 +88,66 @@ type evicted struct {
 	swPrefUnused   bool
 }
 
-// install places a line, evicting the LRU way of its set if needed.
+// install places a line, evicting the LRU way of its set if needed. A
+// line already present only has its recency refreshed.
 func (c *cache) install(line int64, byPrefetch, bySWPrefetch bool) evicted {
-	s := c.set(line)
-	victim := -1
-	for i := range s {
-		w := &s[i]
-		if w.valid && w.line == line {
-			// Already present: refresh only.
-			c.lruTick++
-			w.lru = c.lruTick
-			return evicted{}
-		}
-		if !w.valid {
-			victim = i
-		}
+	if i := c.find(line); i >= 0 {
+		c.lruTick++
+		c.lru[i] = c.lruTick
+		return evicted{}
 	}
-	if victim == -1 {
-		best := uint64(1<<64 - 1)
-		for i := range s {
-			if s[i].lru < best {
-				best = s[i].lru
-				victim = i
-			}
+	return c.fill(line, byPrefetch, bySWPrefetch)
+}
+
+// fill places a line the caller knows is absent: into the last empty way
+// of its set, else over the first way with the smallest recency stamp.
+func (c *cache) fill(line int64, byPrefetch, bySWPrefetch bool) evicted {
+	s := int(line & c.setMask)
+	base := s * c.ways
+	var v int
+	var ev evicted
+	if f := int(c.filled[s]); f < c.ways {
+		v = base + c.ways - 1 - f
+		c.filled[s]++
+	} else {
+		lru := c.lru[base : base+c.ways]
+		m := lru[0]
+		for _, x := range lru[1:] {
+			m = min(m, x)
 		}
-	}
-	w := &s[victim]
-	ev := evicted{}
-	if w.valid {
+		i := 0
+		for lru[i] != m {
+			i++
+		}
+		v = base + i
+		fl := c.flags[v]
 		ev = evicted{
-			line:           w.line,
+			line:           c.tags[v],
 			valid:          true,
-			prefetchUnused: w.prefetch && !w.touched,
-			swPrefUnused:   w.swPref && !w.touched,
+			prefetchUnused: fl&(flagPrefetch|flagTouched) == flagPrefetch,
+			swPrefUnused:   fl&(flagSWPref|flagTouched) == flagSWPref,
 		}
+	}
+	var fl uint8
+	if byPrefetch {
+		fl |= flagPrefetch
+	}
+	if bySWPrefetch {
+		fl |= flagSWPref
 	}
 	c.lruTick++
-	*w = way{line: line, valid: true, lru: c.lruTick, prefetch: byPrefetch, swPref: bySWPrefetch}
+	c.tags[v], c.lru[v], c.flags[v] = line, c.lruTick, fl
 	return ev
 }
 
 // contains probes without updating recency (tests, invariant checks).
-func (c *cache) contains(line int64) bool {
-	s := c.set(line)
-	for i := range s {
-		w := &s[i]
-		if w.valid && w.line == line {
-			return true
-		}
-	}
-	return false
-}
+func (c *cache) contains(line int64) bool { return c.find(line) >= 0 }
 
 // countValid returns the number of valid lines (tests).
 func (c *cache) countValid() int {
 	n := 0
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].valid {
-				n++
-			}
-		}
+	for _, f := range c.filled {
+		n += int(f)
 	}
 	return n
 }

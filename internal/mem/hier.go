@@ -235,7 +235,7 @@ func (h *Hierarchy) dramRequest(now uint64) uint64 {
 // offcore counters, and returns (level, completion cycle of the fill).
 // The line is *not* installed; the caller decides where it lands.
 func (h *Hierarchy) probeBeyondL1(now uint64, line int64, kind Kind) (Level, uint64) {
-	if h.l2.lookup(line, kind == KindLoad || kind == KindStore) != nil {
+	if h.l2.lookup(line, kind == KindLoad || kind == KindStore) {
 		return LevelL2, now + h.Cfg.L2.Latency
 	}
 	// L2 miss: offcore request.
@@ -247,7 +247,7 @@ func (h *Hierarchy) probeBeyondL1(now uint64, line int64, kind Kind) (Level, uin
 	case KindHWPrefetch:
 		h.Stats.OffcoreHWPrefetch++
 	}
-	if h.llc.lookup(line, kind == KindLoad || kind == KindStore) != nil {
+	if h.llc.lookup(line, kind == KindLoad || kind == KindStore) {
 		return LevelLLC, now + h.Cfg.LLC.Latency
 	}
 	return LevelDRAM, h.dramRequest(now)
@@ -274,7 +274,7 @@ func (h *Hierarchy) Access(now uint64, pc uint64, addr int64, kind Kind) Result 
 		h.trainStride(now, pc, addr)
 	}
 
-	if h.l1.lookup(line, true) != nil {
+	if h.l1.lookup(line, true) {
 		h.Stats.Hits[LevelL1]++
 		h.Stats.StallCycles[LevelL1] += h.Cfg.L1.Latency
 		return Result{Latency: h.Cfg.L1.Latency, Served: LevelL1}
@@ -309,8 +309,23 @@ func (h *Hierarchy) Access(now uint64, pc uint64, addr int64, kind Kind) Result 
 	h.Stats.Hits[served]++
 	h.Stats.StallCycles[served] += lat
 	// The core blocks on demand misses, so the fill is complete by the
-	// time execution resumes: install immediately.
-	h.installFill(mshrEntry{line: line, toL1: true})
+	// time execution resumes: install immediately. The probes above
+	// already know each level's state, so no level is scanned twice: L1
+	// and every level that missed only need a fill, and a level that hit
+	// already made the line most recently used. Only the LLC behind an
+	// L2 hit was never probed.
+	if h.l1.fill(line, false, false).swPrefUnused {
+		h.Stats.SWPrefetchUnusedEvicted++
+	}
+	switch served {
+	case LevelL2:
+		h.llc.install(line, false, false)
+	case LevelLLC:
+		h.l2.fill(line, false, false)
+	case LevelDRAM:
+		h.l2.fill(line, false, false)
+		h.llc.fill(line, false, false)
+	}
 
 	if served == LevelDRAM && h.Cfg.NextLinePrefetcher {
 		h.nextLine(now, line)
@@ -336,11 +351,11 @@ func (h *Hierarchy) prefetch(now uint64, line int64, kind Kind) Result {
 		h.Stats.HWPrefetchIssued++
 	}
 
-	if sw && h.l1.lookup(line, false) != nil {
+	if sw && h.l1.lookup(line, false) {
 		h.Stats.SWPrefetchCacheHit++
 		return Result{Latency: 1, Served: LevelL1}
 	}
-	if !sw && h.l2.lookup(line, false) != nil {
+	if !sw && h.l2.lookup(line, false) {
 		return Result{Latency: 0, Served: LevelL2}
 	}
 	if h.findMSHR(line) != nil {
@@ -374,10 +389,14 @@ func (h *Hierarchy) prefetch(now uint64, line int64, kind Kind) Result {
 	return Result{Latency: 1, Served: served}
 }
 
-// trainStride updates the IP-stride predictor and issues HW prefetches.
+// trainStride updates the IP-stride predictor and issues HW prefetches
+// for the in-range addresses of the window it returns.
 func (h *Hierarchy) trainStride(now uint64, pc uint64, addr int64) {
-	for _, target := range h.stride.observe(pc, addr) {
-		h.prefetch(now, lineOf(target), KindHWPrefetch)
+	stride, n := h.stride.observe(pc, addr)
+	for k := 1; k <= n; k++ {
+		if t := addr + stride*int64(k); t >= 0 {
+			h.prefetch(now, lineOf(t), KindHWPrefetch)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ func TestStrideDegreeOneCoversNextAccess(t *testing.T) {
 	var addr int64
 	var fired []int64
 	for i := 0; i < 8; i++ {
-		fired = p.observe(pc, addr)
+		fired = fire(p, pc, addr)
 		addr += stride
 	}
 	if len(fired) != 1 {
@@ -35,7 +35,7 @@ func TestStrideDegreeNCoversWindow(t *testing.T) {
 	var addr int64
 	var fired []int64
 	for i := 0; i < 8; i++ {
-		fired = p.observe(pc, addr)
+		fired = fire(p, pc, addr)
 		addr += stride
 	}
 	last := addr - stride
@@ -48,4 +48,17 @@ func TestStrideDegreeNCoversWindow(t *testing.T) {
 			t.Fatalf("target %d = %d, want %d", k, target, want)
 		}
 	}
+}
+
+// fire observes one load and returns the addresses trainStride
+// prefetches for it (nil when the predictor does not fire).
+func fire(p *stridePrefetcher, pc uint64, addr int64) []int64 {
+	stride, n := p.observe(pc, addr)
+	var targets []int64
+	for k := 1; k <= n; k++ {
+		if t := addr + stride*int64(k); t >= 0 {
+			targets = append(targets, t)
+		}
+	}
+	return targets
 }

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +61,27 @@ func TestArenaOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	a.Read(63, 8)
+}
+
+// TestArenaCheckNearMaxInt64: addr+size overflows for addresses near
+// MaxInt64, so a check computed that way waves the access through and
+// it dies with a runtime index panic instead of the arena's own.
+func TestArenaCheckNearMaxInt64(t *testing.T) {
+	a := NewArena(64)
+	for _, access := range []func(){
+		func() { a.Read(math.MaxInt64-2, 8) },
+		func() { a.Write(math.MaxInt64-2, 1, 8) },
+		func() { a.Read(math.MaxInt64, 1) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "outside arena") {
+					t.Fatalf("want the arena's out-of-range panic, got %q", msg)
+				}
+			}()
+			access()
+		}()
+	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -267,7 +291,7 @@ func TestStridePrefetcherDetectsStream(t *testing.T) {
 	p := newStridePrefetcher(2)
 	var fired []int64
 	for i := int64(0); i < 6; i++ {
-		fired = p.observe(42, i*64)
+		fired = fire(p, 42, i*64)
 	}
 	if len(fired) != 2 {
 		t.Fatalf("locked stride should fire %d targets, want 2", len(fired))
@@ -281,7 +305,7 @@ func TestStridePrefetcherIgnoresRandom(t *testing.T) {
 	p := newStridePrefetcher(2)
 	addrs := []int64{0, 640, 64, 8192, 128, 4096}
 	for _, a := range addrs {
-		if got := p.observe(7, a); got != nil {
+		if got := fire(p, 7, a); got != nil {
 			t.Fatalf("random stream should never fire, got %v", got)
 		}
 	}
@@ -306,6 +330,28 @@ func TestStridePrefetcherEndToEnd(t *testing.T) {
 	}
 	if h.Stats.HWPrefetchIssued == 0 {
 		t.Fatal("hardware prefetches should have been issued")
+	}
+}
+
+// TestAccessAllocsPerRun: once warm, the access path — stride training
+// and the hardware prefetches it fires included — allocates nothing.
+func TestAccessAllocsPerRun(t *testing.T) {
+	h := New(ConfigScaled(), 1<<12)
+	now, addr := uint64(0), int64(0)
+	step := func() {
+		r := h.Access(now, 0x40, addr, KindLoad)
+		now += r.Latency + 2
+		addr += 64
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	issued := h.Stats.HWPrefetchIssued
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("Access allocates %.2f times per call, want 0", allocs)
+	}
+	if h.Stats.HWPrefetchIssued == issued {
+		t.Fatal("stream never fired the stride prefetcher")
 	}
 }
 

@@ -5,69 +5,118 @@ import (
 	"testing"
 )
 
+// refWay is one resident line of the reference model.
+type refWay struct {
+	line                      int64
+	prefetch, swPref, touched bool
+}
+
 // refCache is a trivial fully-correct model of one set-associative LRU
 // cache: a map from set to an ordered slice (MRU first).
 type refCache struct {
-	sets map[int64][]int64
+	sets map[int64][]refWay
 	mask int64
 	ways int
 }
 
 func newRefCache(lc LevelConfig) *refCache {
-	n := lc.Sets()
-	for n&(n-1) != 0 {
-		n--
-	}
-	return &refCache{sets: make(map[int64][]int64), mask: int64(n - 1), ways: lc.Ways}
+	return &refCache{sets: make(map[int64][]refWay), mask: int64(lc.Sets() - 1), ways: lc.Ways}
 }
 
-func (r *refCache) lookup(line int64) bool {
+// touch moves line to the front of its set and reports whether it was
+// present; demand marks it referenced.
+func (r *refCache) touch(line int64, demand bool) bool {
 	s := r.sets[line&r.mask]
-	for i, l := range s {
-		if l == line {
-			// Move to front.
+	for i, w := range s {
+		if w.line == line {
 			copy(s[1:i+1], s[:i])
-			s[0] = line
+			w.touched = w.touched || demand
+			s[0] = w
 			return true
 		}
 	}
 	return false
 }
 
-func (r *refCache) install(line int64) {
-	key := line & r.mask
-	if r.lookup(line) {
-		return
+func (r *refCache) lookup(line int64, demand bool) bool { return r.touch(line, demand) }
+
+// install refreshes a present line, or inserts it at the front and
+// evicts the LRU line of a full set.
+func (r *refCache) install(line int64, byPrefetch, bySWPrefetch bool) evicted {
+	if r.touch(line, false) {
+		return evicted{}
 	}
-	s := r.sets[key]
-	s = append([]int64{line}, s...)
+	key := line & r.mask
+	s := append([]refWay{{line: line, prefetch: byPrefetch, swPref: bySWPrefetch}}, r.sets[key]...)
+	var ev evicted
 	if len(s) > r.ways {
+		v := s[r.ways]
+		ev = evicted{
+			line:           v.line,
+			valid:          true,
+			prefetchUnused: v.prefetch && !v.touched,
+			swPrefUnused:   v.swPref && !v.touched,
+		}
 		s = s[:r.ways]
 	}
 	r.sets[key] = s
+	return ev
+}
+
+func (r *refCache) count() int {
+	n := 0
+	for _, s := range r.sets {
+		n += len(s)
+	}
+	return n
 }
 
 // TestCacheMatchesReferenceModel drives the production cache and the
-// reference model with the same random operation stream and requires
-// identical hit/miss behaviour throughout.
+// reference model with the same random operation stream — demand and
+// non-demand lookups, demand, hardware-prefetch and software-prefetch
+// installs, and fills of lines known to be absent — and requires
+// identical hit/miss results and identical eviction reports throughout,
+// for direct-mapped through 16-way sets.
 func TestCacheMatchesReferenceModel(t *testing.T) {
-	lc := LevelConfig{SizeBytes: 16 * LineSize, Ways: 4, Latency: 1}
-	for seed := int64(0); seed < 10; seed++ {
-		c := newCache(lc)
-		ref := newRefCache(lc)
-		rng := rand.New(rand.NewSource(seed))
-		for op := 0; op < 5000; op++ {
-			line := rng.Int63n(64)
-			switch rng.Intn(2) {
-			case 0:
-				got := c.lookup(line, true) != nil
-				want := ref.lookup(line)
-				if got != want {
-					t.Fatalf("seed %d op %d: lookup(%d) = %v, ref %v", seed, op, line, got, want)
+	for _, ways := range []int{1, 2, 4, 8, 16} {
+		const sets = 4
+		lc := LevelConfig{SizeBytes: int64(sets*ways) * LineSize, Ways: ways, Latency: 1}
+		span := int64(3 * sets * ways)
+		for seed := int64(0); seed < 10; seed++ {
+			c := newCache(lc)
+			ref := newRefCache(lc)
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < 5000; op++ {
+				line := rng.Int63n(2*span) - span // negative lines too
+				byPref := rng.Intn(3) != 0
+				bySW := byPref && rng.Intn(2) == 0
+				switch rng.Intn(4) {
+				case 0:
+					demand := rng.Intn(4) != 0
+					got, want := c.lookup(line, demand), ref.lookup(line, demand)
+					if got != want {
+						t.Fatalf("ways %d seed %d op %d: lookup(%d) = %v, ref %v",
+							ways, seed, op, line, got, want)
+					}
+				case 1, 2:
+					got, want := c.install(line, byPref, bySW), ref.install(line, byPref, bySW)
+					if got != want {
+						t.Fatalf("ways %d seed %d op %d: install(%d) evicted %+v, ref %+v",
+							ways, seed, op, line, got, want)
+					}
+				case 3:
+					if c.contains(line) {
+						continue
+					}
+					got, want := c.fill(line, byPref, bySW), ref.install(line, byPref, bySW)
+					if got != want {
+						t.Fatalf("ways %d seed %d op %d: fill(%d) evicted %+v, ref %+v",
+							ways, seed, op, line, got, want)
+					}
 				}
-			case 1:
-				c.install(line, false, false)
-				ref.install(line)
+			}
+			if got, want := c.countValid(), ref.count(); got != want {
+				t.Fatalf("ways %d seed %d: %d valid lines, ref %d", ways, seed, got, want)
 			}
 		}
 	}
