@@ -88,9 +88,9 @@ func (r *Result) Speedup(base *Result) float64 {
 // RunBaseline executes the unmodified program.
 func RunBaseline(w Workload, cfg Config) (*Result, error) {
 	cfg.fill()
-	p, err := w.Build()
+	p, err := build(w)
 	if err != nil {
-		return nil, fmt.Errorf("core: build %s: %w", w.Name(), err)
+		return nil, err
 	}
 	return execute(w, p, cfg, "baseline", nil, nil)
 }
@@ -99,47 +99,94 @@ func RunBaseline(w Workload, cfg Config) (*Result, error) {
 // result.
 func RunStatic(w Workload, cfg Config) (*Result, error) {
 	cfg.fill()
-	p, err := w.Build()
+	p, err := build(w)
 	if err != nil {
 		return nil, err
 	}
-	sp := obs.Begin(w.Name()+"/ainsworth-jones", obs.StageInject)
-	sopt := cfg.Static
-	sopt.Obs = sp
-	rep, err := passes.AinsworthJones(p, sopt)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: static pass on %s: %w", w.Name(), err)
-	}
-	return execute(w, p, cfg, "ainsworth-jones", rep, nil)
+	return runStatic(w, p, cfg)
 }
 
 // ProfileAndPlan runs the profiling build and the analytical model,
 // returning the prefetch plans (and the raw profile for inspection).
 func ProfileAndPlan(w Workload, cfg Config) (*profile.Profile, []analysis.Plan, error) {
 	cfg.fill()
-	scope := w.Name() + "/apt-get"
-	p, err := w.Build()
+	p, err := build(w)
 	if err != nil {
 		return nil, nil, err
 	}
-	sp := obs.Begin(scope, obs.StageProfile)
+	sp := obs.Begin(w.Name()+"/apt-get", obs.StageProfile)
 	popt := cfg.Profile
 	popt.Obs = sp
-	prof, err := profile.Collect(p, cfg.Machine, w.InitMem, popt)
-	sp.End()
+	res, err := cpu.Run(p, cfg.Machine, profileOptions(w, cfg))
 	if err != nil {
+		sp.End()
+		if res != nil {
+			res.Hier.Release()
+		}
 		return nil, nil, fmt.Errorf("core: profiling %s: %w", w.Name(), err)
 	}
-	sp = obs.Begin(scope, obs.StageAnalysis)
+	res.Hier.Release()
+	prof := profile.FromRun(res, popt)
+	sp.End()
+	plans, err := analyze(w, p, prof, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prof, plans, nil
+}
+
+// BaselineAndPlans runs the unmodified program once with the profiling
+// hardware armed and derives the prefetch plans from that run. Sampling
+// costs the simulated program no cycles, so the profiling run is a
+// baseline execution too: its verified counters are returned as the
+// baseline result, and the baseline is not simulated a second time.
+func BaselineAndPlans(w Workload, cfg Config) (*Result, []analysis.Plan, error) {
+	cfg.fill()
+	p, err := build(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	return baselineAndPlans(w, p, cfg)
+}
+
+// baselineAndPlans is BaselineAndPlans on an already built program.
+func baselineAndPlans(w Workload, p *ir.Program, cfg Config) (*Result, []analysis.Plan, error) {
+	res, err := simulate(w, p, cfg, "baseline", profileOptions(w, cfg))
+	if err != nil {
+		return nil, nil, err
+	}
+	sp := obs.Begin(w.Name()+"/apt-get", obs.StageProfile)
+	popt := cfg.Profile
+	popt.Obs = sp
+	prof := profile.FromRun(res, popt)
+	sp.End()
+	plans, err := analyze(w, p, prof, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Variant: "baseline", Counters: res.Counters}, plans, nil
+}
+
+// profileOptions arms the profiling hardware for a run of w under cfg's
+// instruction budget.
+func profileOptions(w Workload, cfg Config) cpu.Options {
+	o := profile.RunOptions(cfg.Profile)
+	o.InitMem = w.InitMem
+	o.MaxInstructions = cfg.MaxInstructions
+	return o
+}
+
+// analyze runs the analytical model on a profile of p.
+func analyze(w Workload, p *ir.Program, prof *profile.Profile, cfg Config) ([]analysis.Plan, error) {
+	sp := obs.Begin(w.Name()+"/apt-get", obs.StageAnalysis)
 	aopt := cfg.Analysis
 	aopt.Obs = sp
 	plans, err := analysis.Analyze(p, prof, aopt)
 	sp.End()
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: analyzing %s: %w", w.Name(), err)
+		return nil, fmt.Errorf("core: analyzing %s: %w", w.Name(), err)
 	}
-	return prof, plans, nil
+	return plans, nil
 }
 
 // RunAptGet runs the full APT-GET pipeline: profile, analyze, inject,
@@ -168,10 +215,37 @@ func RunPipeline(w Workload, cfg Config) (*Result, error) {
 // workload with a different dataset.
 func RunWithPlans(w Workload, plans []analysis.Plan, cfg Config) (*Result, error) {
 	cfg.fill()
-	p, err := w.Build()
+	p, err := build(w)
 	if err != nil {
 		return nil, err
 	}
+	return runAptGet(w, p, plans, cfg)
+}
+
+// build returns a fresh build of w.
+func build(w Workload) (*ir.Program, error) {
+	p, err := w.Build()
+	if err != nil {
+		return nil, fmt.Errorf("core: build %s: %w", w.Name(), err)
+	}
+	return p, nil
+}
+
+// runStatic applies the Ainsworth & Jones pass to p and executes it.
+func runStatic(w Workload, p *ir.Program, cfg Config) (*Result, error) {
+	sp := obs.Begin(w.Name()+"/ainsworth-jones", obs.StageInject)
+	sopt := cfg.Static
+	sopt.Obs = sp
+	rep, err := passes.AinsworthJones(p, sopt)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: static pass on %s: %w", w.Name(), err)
+	}
+	return execute(w, p, cfg, "ainsworth-jones", rep, nil)
+}
+
+// runAptGet injects plans into p and executes it.
+func runAptGet(w Workload, p *ir.Program, plans []analysis.Plan, cfg Config) (*Result, error) {
 	sp := obs.Begin(w.Name()+"/apt-get", obs.StageInject)
 	iopt := cfg.Inject
 	iopt.Obs = sp
@@ -194,11 +268,24 @@ func RunWithPlans(w Workload, plans []analysis.Plan, cfg Config) (*Result, error
 func execute(w Workload, p *ir.Program, cfg Config, variant string,
 	rep *passes.Report, plans []analysis.Plan) (*Result, error) {
 
+	res, err := simulate(w, p, cfg, variant, cpu.Options{InitMem: w.InitMem, MaxInstructions: cfg.MaxInstructions})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Variant:  variant,
+		Counters: res.Counters,
+		Report:   rep,
+		Plans:    plans,
+	}, nil
+}
+
+// simulate runs p with opts under an execute span carrying the run's
+// counters, verifies the result and recycles the arena. The returned
+// run keeps its counters and samples but no simulated memory.
+func simulate(w Workload, p *ir.Program, cfg Config, variant string, opts cpu.Options) (*cpu.Result, error) {
 	sp := obs.Begin(w.Name()+"/"+variant, obs.StageExecute)
-	res, err := cpu.Run(p, cfg.Machine, cpu.Options{
-		InitMem:         w.InitMem,
-		MaxInstructions: cfg.MaxInstructions,
-	})
+	res, err := cpu.Run(p, cfg.Machine, opts)
 	if err != nil {
 		sp.End()
 		// An execution error still returns the hierarchy; recycle its
@@ -225,12 +312,7 @@ func execute(w Workload, p *ir.Program, cfg Config, variant string,
 	// Verification was the last reader of the simulated memory: recycle
 	// the arena for the next run of this workload size.
 	res.Hier.Release()
-	return &Result{
-		Variant:  variant,
-		Counters: res.Counters,
-		Report:   rep,
-		Plans:    plans,
-	}, nil
+	return res, nil
 }
 
 // Comparison is the three-way result the paper's headline figures use.
@@ -248,47 +330,43 @@ func (c *Comparison) StaticSpeedup() float64 { return c.Static.Speedup(c.Base) }
 func (c *Comparison) AptGetSpeedup() float64 { return c.AptGet.Speedup(c.Base) }
 
 // Compare runs baseline, Ainsworth & Jones, and APT-GET on the workload.
+//
+// One comparison simulates three builds: the profiling run is also the
+// baseline run (BaselineAndPlans). The Ainsworth & Jones chain and the
+// baseline → analysis → APT-GET chain are independent, so they run as
+// two runner jobs; runner.SetMaxWorkers(1) runs them one after the other
+// with the same result. Build writes workload state (array handles), so
+// all three programs are built here first; the jobs then only read w,
+// through InitMem and Verify.
 func Compare(w Workload, cfg Config) (*Comparison, error) {
-	base, err := RunBaseline(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	static, err := RunStatic(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	apt, err := RunAptGet(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{Workload: w.Name(), Base: base, Static: static, AptGet: apt}, nil
-}
-
-// CompareFrom runs the three Compare variants concurrently. Build mutates
-// workload state (array handles, scratch), so each variant gets its own
-// instance from newW; Build is deterministic, making the instances
-// interchangeable and the result identical to Compare on one of them.
-func CompareFrom(newW func() Workload, cfg Config) (*Comparison, error) {
-	variants := []func(Workload, Config) (*Result, error){
-		RunBaseline, RunStatic, RunAptGet,
-	}
-	var name string
-	results, err := runner.Map(len(variants), func(i int) (*Result, error) {
-		w := newW()
-		if i == 0 {
-			name = w.Name()
+	cfg.fill()
+	var progs [3]*ir.Program
+	for i := range progs {
+		p, err := build(w)
+		if err != nil {
+			return nil, err
 		}
-		return variants[i](w, cfg)
+		progs[i] = p
+	}
+	c := &Comparison{Workload: w.Name()}
+	err := runner.Run(2, func(i int) error {
+		if i == 0 {
+			var err error
+			c.Static, err = runStatic(w, progs[0], cfg)
+			return err
+		}
+		base, plans, err := baselineAndPlans(w, progs[1], cfg)
+		if err != nil {
+			return err
+		}
+		c.Base = base
+		c.AptGet, err = runAptGet(w, progs[2], plans, cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Comparison{
-		Workload: name,
-		Base:     results[0],
-		Static:   results[1],
-		AptGet:   results[2],
-	}, nil
+	return c, nil
 }
 
 // GeoMean computes the geometric mean of a slice of ratios — the paper's

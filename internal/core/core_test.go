@@ -1,14 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"aptget/internal/cpu"
 	"aptget/internal/ir"
 	"aptget/internal/mem"
 	"aptget/internal/obs"
+	"aptget/internal/runner"
 )
 
 // microWorkload is a minimal Workload: the nested indirect kernel with a
@@ -103,6 +107,71 @@ func TestCompareThreeWay(t *testing.T) {
 	}
 	if len(cmp.AptGet.Plans) == 0 {
 		t.Fatal("plans missing from result")
+	}
+}
+
+// countingWorkload counts the simulations run on a workload: every run
+// seeds memory once (InitMem) and every verified run checks once
+// (Verify). Compare calls them from two goroutines.
+type countingWorkload struct {
+	*microWorkload
+	inits, verifies atomic.Int64
+}
+
+func (c *countingWorkload) InitMem(a *mem.Arena) {
+	c.inits.Add(1)
+	c.microWorkload.InitMem(a)
+}
+
+func (c *countingWorkload) Verify(a *mem.Arena) error {
+	c.verifies.Add(1)
+	return c.microWorkload.Verify(a)
+}
+
+// TestCompareSimulatesThreeTimes: the profiling run is the baseline run,
+// so a comparison simulates three builds (baseline, Ainsworth & Jones,
+// APT-GET), each verified once — not a fourth, unverified profiling run
+// — at any runner width, with the same counters.
+func TestCompareSimulatesThreeTimes(t *testing.T) {
+	var want *Comparison
+	for _, workers := range []int{2, 1} {
+		prev := runner.SetMaxWorkers(workers)
+		w := &countingWorkload{microWorkload: newMicro(512, 4)}
+		cmp, err := Compare(w, DefaultConfig())
+		runner.SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, v := w.inits.Load(), w.verifies.Load(); n != 3 || v != 3 {
+			t.Fatalf("workers=%d: %d simulations and %d verifications, want 3 and 3", workers, n, v)
+		}
+		if want == nil {
+			want = cmp
+			continue
+		}
+		for i, r := range []*Result{cmp.Base, cmp.Static, cmp.AptGet} {
+			w := []*Result{want.Base, want.Static, want.AptGet}[i]
+			if r.Variant != w.Variant || r.Counters != w.Counters {
+				t.Fatalf("%s counters differ between runner widths", r.Variant)
+			}
+		}
+	}
+}
+
+// TestInstructionLimitReachesEveryRun: cfg.MaxInstructions bounds the
+// profiling run too, in ProfileAndPlan and in Compare's shared
+// baseline run.
+func TestInstructionLimitReachesEveryRun(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = 50
+	if _, _, err := ProfileAndPlan(newMicro(64, 4), cfg); !errors.Is(err, cpu.ErrInstructionLimit) {
+		t.Fatalf("ProfileAndPlan: want ErrInstructionLimit, got %v", err)
+	}
+	if _, _, err := BaselineAndPlans(newMicro(64, 4), cfg); !errors.Is(err, cpu.ErrInstructionLimit) {
+		t.Fatalf("BaselineAndPlans: want ErrInstructionLimit, got %v", err)
+	}
+	if _, err := Compare(newMicro(64, 4), cfg); !errors.Is(err, cpu.ErrInstructionLimit) {
+		t.Fatalf("Compare: want ErrInstructionLimit, got %v", err)
 	}
 }
 

@@ -15,25 +15,28 @@ import (
 // failing variants bled the pool dry and every subsequent run paid a
 // fresh multi-megabyte allocation.
 //
-// The workload sizes are chosen so p.MemSize lands in a pool bucket no
-// other test uses; the bucket's length is then a precise leak counter.
+// The pool serves a request from any recycled arena large enough, so the
+// test uses an arena larger than every registry workload's (the largest,
+// HJ2, is under 16 MiB): no other test leaves an arena that could serve
+// it, and PoolLen(size) is then a precise leak counter. The pool keeps
+// the most recently recycled arenas, so a correct release always lands.
 func TestFailedRunsRecycleArena(t *testing.T) {
-	const oddTable = 7321
-	sizer := newMicro(9, 7)
-	sizer.table = oddTable
-	p, err := sizer.Build()
+	newBig := func() *microWorkload {
+		w := newMicro(9, 7)
+		w.table = 17 << 17 // 17 MiB of table
+		return w
+	}
+	p, err := newBig().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := p.MemSize
 	if n := mem.PoolLen(size); n != 0 {
-		t.Fatalf("pool bucket for size %d already holds %d arenas; pick a more unusual size", size, n)
+		t.Fatalf("pool already holds %d arenas of %d bytes or more; pick a larger size", n, size)
 	}
 
 	// Path 1: verification failure after a clean run.
-	w := newMicro(9, 7)
-	w.table = oddTable
-	if _, err := RunBaseline(&brokenWorkload{w}, DefaultConfig()); err == nil {
+	if _, err := RunBaseline(&brokenWorkload{newBig()}, DefaultConfig()); err == nil {
 		t.Fatal("verification should fail for the broken workload")
 	}
 	if n := mem.PoolLen(size); n != 1 {
@@ -41,12 +44,10 @@ func TestFailedRunsRecycleArena(t *testing.T) {
 	}
 
 	// Path 2: execution error (instruction limit). NewArena pops the
-	// recycled arena, so a correct release brings the bucket back to 1.
-	w = newMicro(9, 7)
-	w.table = oddTable
+	// recycled arena, so a correct release brings the count back to 1.
 	cfg := DefaultConfig()
 	cfg.MaxInstructions = 50
-	_, err = RunBaseline(w, cfg)
+	_, err = RunBaseline(newBig(), cfg)
 	if !errors.Is(err, cpu.ErrInstructionLimit) {
 		t.Fatalf("want ErrInstructionLimit, got %v", err)
 	}

@@ -23,7 +23,7 @@ var simCounterPins = map[string]string{
 
 func TestSimCountersPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates three apps four times each")
+		t.Skip("simulates three apps three times each")
 	}
 	for _, key := range []string{"DFS", "G500", "BFS"} {
 		e, ok := workloads.ByKey(key)

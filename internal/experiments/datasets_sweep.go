@@ -75,7 +75,7 @@ func Fig6x(o Options) (*Fig6xResult, error) {
 	cells := fig6xCells(o)
 	rows, err := runner.Map(len(cells), func(i int) (Fig6xRow, error) {
 		c := cells[i]
-		cmp, err := core.CompareFrom(c.mk, cfg)
+		cmp, err := core.Compare(c.mk(), cfg)
 		if err != nil {
 			return Fig6xRow{}, fmt.Errorf("fig6x %s/%s: %w", c.app, c.ds, err)
 		}

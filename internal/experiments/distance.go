@@ -36,7 +36,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 	entries := apps(o)
 	rows, err := runner.Map(len(entries), func(i int) (Fig8Row, error) {
 		e := entries[i]
-		base, plans, err := baseAndPlans(e.New, cfg)
+		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("fig8 %s: %w", e.Key, err)
 		}
@@ -128,7 +128,7 @@ func Fig9(o Options) (*Fig9Result, error) {
 	entries := apps(o)
 	rows, err := runner.Map(len(entries), func(i int) (Fig9Row, error) {
 		e := entries[i]
-		base, plans, err := baseAndPlans(e.New, cfg)
+		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("fig9 %s: %w", e.Key, err)
 		}

@@ -102,7 +102,7 @@ func FullComparisons(o Options) ([]AppComparison, error) {
 	entries := apps(o)
 	out, err := runner.Map(len(entries), func(i int) (AppComparison, error) {
 		e := entries[i]
-		cmp, err := core.CompareFrom(e.New, cfg)
+		cmp, err := core.Compare(e.New(), cfg)
 		if err != nil {
 			return AppComparison{}, fmt.Errorf("experiments: %s: %w", e.Key, err)
 		}
@@ -113,28 +113,6 @@ func FullComparisons(o Options) ([]AppComparison, error) {
 	}
 	cmpCache.Store(key, out)
 	return out, nil
-}
-
-// baseAndPlans runs the no-prefetching baseline and the profile/analysis
-// pipeline concurrently, each on its own workload instance (Build mutates
-// workload state, so concurrent variants must not share one).
-func baseAndPlans(newW func() core.Workload, cfg core.Config) (*core.Result, []analysis.Plan, error) {
-	var base *core.Result
-	var plans []analysis.Plan
-	err := runner.Run(2, func(i int) error {
-		if i == 0 {
-			r, err := core.RunBaseline(newW(), cfg)
-			base = r
-			return err
-		}
-		_, p, err := core.ProfileAndPlan(newW(), cfg)
-		plans = p
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return base, plans, nil
 }
 
 // forceDistance returns a copy of the plans with every distance pinned

@@ -60,7 +60,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 	entries := fig10Apps(o)
 	rows, err := runner.Map(len(entries), func(i int) (Fig10Row, error) {
 		e := entries[i]
-		base, plans, err := baseAndPlans(e.New, cfg)
+		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
 		if err != nil {
 			return Fig10Row{}, fmt.Errorf("fig10 %s: %w", e.Key, err)
 		}

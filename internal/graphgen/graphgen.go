@@ -22,7 +22,9 @@ type Graph struct {
 	N      int64   // vertices
 	RowPtr []int64 // length N+1
 	Col    []int64 // length M
-	Weight []int64 // length M; small positive edge weights (SSSP)
+	Weight []int64 // length M once Weighted is called; nil before
+
+	seed int64 // generator seed; Weighted draws the edge weights from it
 }
 
 // M returns the edge count.
@@ -64,7 +66,8 @@ func (g *Graph) Validate() error {
 }
 
 // fromEdges builds a CSR graph from an edge list, sorting adjacency for
-// determinism and assigning weights in [1, 15].
+// determinism. Only SSSP reads edge weights, so they are drawn on demand
+// (Weighted) instead of here.
 func fromEdges(name string, n int64, src, dst []int64, seed int64) *Graph {
 	deg := make([]int64, n)
 	for _, u := range src {
@@ -83,12 +86,23 @@ func fromEdges(name string, n int64, src, dst []int64, seed int64) *Graph {
 	for i := int64(0); i < n; i++ {
 		slices.Sort(col[row[i]:row[i+1]])
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
-	w := make([]int64, len(col))
-	for i := range w {
-		w[i] = 1 + rng.Int63n(15)
+	return &Graph{Name: name, N: n, RowPtr: row, Col: col, seed: seed}
+}
+
+// Weighted fills Weight with the graph's edge weights in [1, 15], drawn
+// from the generator seed, and returns g. The weights are the same on
+// every call; calls after the first do nothing. Call it before the graph
+// is shared between goroutines.
+func (g *Graph) Weighted() *Graph {
+	if g.Weight != nil {
+		return g
 	}
-	return &Graph{Name: name, N: n, RowPtr: row, Col: col, Weight: w}
+	rng := rand.New(rand.NewSource(g.seed ^ 0x5ca1ab1e))
+	g.Weight = make([]int64, len(g.Col))
+	for i := range g.Weight {
+		g.Weight[i] = 1 + rng.Int63n(15)
+	}
+	return g
 }
 
 // Uniform generates a graph where every vertex has close to `degree`

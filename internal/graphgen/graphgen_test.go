@@ -1,6 +1,7 @@
 package graphgen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,8 +86,8 @@ func TestKroneckerShape(t *testing.T) {
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	a := PowerLaw("a", 2000, 4, 99)
-	b := PowerLaw("a", 2000, 4, 99)
+	a := PowerLaw("a", 2000, 4, 99).Weighted()
+	b := PowerLaw("a", 2000, 4, 99).Weighted()
 	if a.M() != b.M() {
 		t.Fatal("same seed must give same graph")
 	}
@@ -113,7 +114,7 @@ func TestGeneratorsDeterministic(t *testing.T) {
 
 func TestWeightsPositiveBounded(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
-		g := Uniform("w", 200, 2, seed)
+		g := Uniform("w", 200, 2, seed).Weighted()
 		for _, w := range g.Weight {
 			if w < 1 || w > 15 {
 				return false
@@ -122,6 +123,34 @@ func TestWeightsPositiveBounded(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWeightsOnDemand: generators leave Weight nil — only SSSP reads it,
+// and every other workload would carry megabytes of unread weights — and
+// Weighted fills it once: a second call changes nothing.
+func TestWeightsOnDemand(t *testing.T) {
+	for _, g := range []*Graph{
+		Uniform("u", 300, 2, 7),
+		PowerLaw("p", 300, 3, 7),
+		Grid("g", 10, 12, 7),
+		Kronecker("k", 8, 4, 7),
+	} {
+		if g.Weight != nil {
+			t.Fatalf("%s: generator filled Weight", g.Name)
+		}
+		if g.Weighted() != g || int64(len(g.Weight)) != g.M() {
+			t.Fatalf("%s: Weighted gave %d weights for %d edges", g.Name, len(g.Weight), g.M())
+		}
+		first := g.Weight
+		want := append([]int64(nil), first...)
+		g.Weighted()
+		if &g.Weight[0] != &first[0] || !slices.Equal(g.Weight, want) {
+			t.Fatalf("%s: second Weighted call changed the weights", g.Name)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -14,60 +15,96 @@ type Arena struct {
 	data []byte
 }
 
-// arenaPool keeps a small free list of recycled arenas per size. The
-// pipeline allocates one multi-megabyte arena per simulated run and the
-// runner fans runs out over a worker pool, so without reuse every run
-// pays the page faults of touching a fresh allocation. Recycled arenas
-// are zeroed before they are handed out again — workloads' InitMem
-// assumes zeroed memory.
+// arenaPool is a small free list of recycled arenas. The pipeline
+// allocates one multi-megabyte arena per simulated run and the runner
+// fans runs out over a worker pool, so without reuse every run pays the
+// page faults of touching a fresh allocation. Arenas are pooled by
+// capacity, not by size: a request takes the smallest recycled arena
+// that is large enough, and new arenas get their capacity rounded up to
+// a power of two, so workloads of nearby sizes share arenas instead of
+// each keeping its own. Recycled arenas are zeroed up to the requested
+// size before they are handed out again — workloads' InitMem assumes
+// zeroed memory.
 var arenaPool struct {
 	sync.Mutex
-	bySize map[int64][]*Arena
+	free []*Arena // oldest first
 }
 
-// arenaPoolPerSize bounds how many arenas of one size the pool retains;
-// beyond it, recycled arenas are dropped for the GC.
-const arenaPoolPerSize = 4
+// arenaPoolCap bounds how many arenas the pool retains; beyond it, the
+// oldest recycled arena is dropped for the GC.
+const arenaPoolCap = 4
+
+// arenaClass rounds an arena size up to its capacity class, the next
+// power of two.
+func arenaClass(size int64) int64 {
+	c := int64(1)
+	for c < size {
+		c <<= 1
+	}
+	return c
+}
 
 // NewArena returns an arena of the given size in bytes, zeroed, reusing
-// a recycled arena of the same size when one is available.
+// the smallest recycled arena whose capacity holds it. When none does,
+// the smallest recycled arena is dropped as well: it is too small for
+// the current runs, and the new arena takes its place, so the pool's
+// memory follows the largest size in use instead of adding up every
+// size seen.
 func NewArena(size int64) *Arena {
 	arenaPool.Lock()
-	if list := arenaPool.bySize[size]; len(list) > 0 {
-		a := list[len(list)-1]
-		arenaPool.bySize[size] = list[:len(list)-1]
-		arenaPool.Unlock()
-		clear(a.data)
-		return a
+	fit, smallest := -1, -1
+	for i, a := range arenaPool.free {
+		c := cap(a.data)
+		// Ties go to the most recently recycled arena (the later one).
+		if int64(c) >= size && (fit < 0 || c <= cap(arenaPool.free[fit].data)) {
+			fit = i
+		}
+		if smallest < 0 || c < cap(arenaPool.free[smallest].data) {
+			smallest = i
+		}
 	}
+	if fit < 0 {
+		if smallest >= 0 {
+			arenaPool.free = slices.Delete(arenaPool.free, smallest, smallest+1)
+		}
+		arenaPool.Unlock()
+		return &Arena{data: make([]byte, size, arenaClass(size))}
+	}
+	a := arenaPool.free[fit]
+	arenaPool.free = slices.Delete(arenaPool.free, fit, fit+1)
 	arenaPool.Unlock()
-	return &Arena{data: make([]byte, size)}
+	a.data = a.data[:size]
+	clear(a.data)
+	return a
 }
 
 // Recycle returns the arena to the pool for reuse by a later NewArena of
-// the same size. The caller must not touch the arena afterwards.
+// at most its capacity. The caller must not touch the arena afterwards.
 func (a *Arena) Recycle() {
-	if a == nil || len(a.data) == 0 {
+	if a == nil || cap(a.data) == 0 {
 		return
 	}
 	arenaPool.Lock()
-	if arenaPool.bySize == nil {
-		arenaPool.bySize = make(map[int64][]*Arena)
+	if len(arenaPool.free) == arenaPoolCap {
+		arenaPool.free = slices.Delete(arenaPool.free, 0, 1)
 	}
-	size := int64(len(a.data))
-	if len(arenaPool.bySize[size]) < arenaPoolPerSize {
-		arenaPool.bySize[size] = append(arenaPool.bySize[size], a)
-	}
+	arenaPool.free = append(arenaPool.free, a)
 	arenaPool.Unlock()
 }
 
-// PoolLen reports how many recycled arenas of the given size the pool
-// currently holds. It exists so tests can assert that every run path —
-// including failed ones — returns its arena to the pool.
+// PoolLen reports how many recycled arenas the pool holds that could
+// serve an arena of the given size. It exists so tests can assert that
+// every run path — including failed ones — returns its arena to the pool.
 func PoolLen(size int64) int {
 	arenaPool.Lock()
 	defer arenaPool.Unlock()
-	return len(arenaPool.bySize[size])
+	n := 0
+	for _, a := range arenaPool.free {
+		if int64(cap(a.data)) >= size {
+			n++
+		}
+	}
+	return n
 }
 
 // Size returns the arena size in bytes.

@@ -63,6 +63,63 @@ func TestArenaOutOfRangePanics(t *testing.T) {
 	a.Read(63, 8)
 }
 
+// TestArenaPoolByCapacity: an arena's capacity is its size rounded up
+// to a power of two, and a smaller request reuses it — zeroed, and
+// bounded at the requested size, not the capacity. The pool keeps at
+// most arenaPoolCap arenas, the most recently recycled ones.
+func TestArenaPoolByCapacity(t *testing.T) {
+	const size = 3<<20 + 8
+	a := NewArena(size)
+	if cap(a.data) != 4<<20 {
+		t.Fatalf("capacity %d, want the 4 MiB class", cap(a.data))
+	}
+	for off := int64(0); off < size; off += 4096 {
+		a.Write(off, -1, 8)
+	}
+	backing := &a.data[0]
+	a.Recycle()
+
+	b := NewArena(3 << 20)
+	if &b.data[0] != backing {
+		t.Fatal("a smaller request did not reuse the recycled 4 MiB arena")
+	}
+	if b.Size() != 3<<20 {
+		t.Fatalf("reused arena has size %d, want %d", b.Size(), 3<<20)
+	}
+	for off := int64(0); off < b.Size(); off += 4096 {
+		if b.Read(off, 8) != 0 {
+			t.Fatalf("reused arena not zeroed at %d", off)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("access past the requested size should panic")
+			}
+		}()
+		b.Read(b.Size(), 1)
+	}()
+	b.Recycle()
+
+	// No recycled arena holds 5 MiB: the request drops the smallest one,
+	// which is too small for the runs now in use, and allocates afresh.
+	n := PoolLen(0)
+	last := NewArena(5 << 20)
+	if PoolLen(0) != n-1 {
+		t.Fatalf("pool holds %d arenas after an unservable request, want %d", PoolLen(0), n-1)
+	}
+	for i := 0; i < arenaPoolCap+2; i++ {
+		(&Arena{data: make([]byte, 5<<20, 8<<20)}).Recycle()
+	}
+	last.Recycle()
+	if n := PoolLen(0); n != arenaPoolCap {
+		t.Fatalf("pool holds %d arenas, bound is %d", n, arenaPoolCap)
+	}
+	if got := NewArena(5 << 20); got != last {
+		t.Fatal("the most recently recycled arena was not kept")
+	}
+}
+
 // TestArenaCheckNearMaxInt64: addr+size overflows for addresses near
 // MaxInt64, so a check computed that way waves the access through and
 // it dies with a runtime index panic instead of the arena's own.

@@ -143,16 +143,26 @@ func SelectLoads(candidates []pebs.Load, instructions uint64, opt Options) []peb
 	return kept
 }
 
-// Collect runs the program once with profiling hardware enabled.
-// initMem seeds the simulated memory before execution.
-func Collect(p *ir.Program, cfg mem.Config, initMem func(*mem.Arena), opt Options) (*Profile, error) {
+// RunOptions returns the cpu options of a profiling run: LBR snapshots
+// and PEBS LLC-miss sampling armed at opt's periods. The caller adds
+// InitMem and, if it wants one, an instruction budget. Sampling costs
+// the simulated program no cycles, so a run with these options is also
+// a baseline execution: its counters equal an unsampled run's.
+func RunOptions(opt Options) cpu.Options {
 	opt.fill()
-	res, err := cpu.Run(p, cfg, cpu.Options{
+	return cpu.Options{
 		SamplePeriod: opt.SamplePeriod,
 		PEBSPeriod:   opt.PEBSPeriod,
 		LBRWidth:     opt.LBRWidth,
-		InitMem:      initMem,
-	})
+	}
+}
+
+// Collect runs the program once with profiling hardware enabled.
+// initMem seeds the simulated memory before execution.
+func Collect(p *ir.Program, cfg mem.Config, initMem func(*mem.Arena), opt Options) (*Profile, error) {
+	copt := RunOptions(opt)
+	copt.InitMem = initMem
+	res, err := cpu.Run(p, cfg, copt)
 	if err != nil {
 		if res != nil {
 			res.Hier.Release()
@@ -160,8 +170,17 @@ func Collect(p *ir.Program, cfg mem.Config, initMem func(*mem.Arena), opt Option
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	// The profiling run's memory is only needed while the program executes;
-	// the samples and counters below are plain values. Recycle the arena.
+	// the samples and counters FromRun keeps are plain values.
 	res.Hier.Release()
+	return FromRun(res, opt), nil
+}
+
+// FromRun packages the samples of a finished run made with RunOptions
+// into a profile: the delinquent loads that pass the selection gate, the
+// LBR snapshots and the run's counters. It reads no simulated memory, so
+// the run's arena may already be released.
+func FromRun(res *cpu.Result, opt Options) *Profile {
+	opt.fill()
 	loads := res.PEBS.Delinquent(opt.DelinquentShare)
 	candidates := len(loads)
 	loads = SelectLoads(loads, res.Counters.Instructions, opt)
@@ -189,5 +208,5 @@ func Collect(p *ir.Program, cfg mem.Config, initMem func(*mem.Arena), opt Option
 		Samples:  res.LBRSamples,
 		Loads:    loads,
 		Counters: res.Counters,
-	}, nil
+	}
 }

@@ -37,6 +37,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,6 +135,11 @@ type Server struct {
 	sem     chan struct{}
 	handler http.Handler
 
+	// decoders holds *wire.Decoder: an ingest decodes the upload into a
+	// pooled decoder's buffers and returns it when the handler ends, so
+	// the warm-hit path allocates nothing that grows with the profile.
+	decoders sync.Pool
+
 	rejected atomic.Int64
 	oversize atomic.Int64
 }
@@ -175,6 +181,7 @@ func New(cfg Config) *Server {
 		store: planstore.New(cfg.CacheCapacity),
 		sem:   make(chan struct{}, cfg.MaxInflight),
 	}
+	s.decoders.New = func() any { return new(wire.Decoder) }
 	if cfg.AggregateWindow >= 2 {
 		s.batcher = aggregate.NewBatcher(cfg.AggregateWindow, cfg.AggregateWait)
 	}
@@ -292,8 +299,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	// Stream-decode the frame: the body is hashed and validated as it
 	// arrives, so a malformed or non-canonical upload fails without ever
-	// being buffered whole.
-	prof, fp, err := wire.DecodeProfileFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// being buffered whole. prof aliases the pooled decoder's buffers and
+	// must not outlive this handler.
+	dec := s.decoders.Get().(*wire.Decoder)
+	defer s.decoders.Put(dec)
+	prof, fp, err := dec.DecodeProfileFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
@@ -335,7 +345,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			var src wire.Fingerprint
 			var size int
-			plans, src, size, err = s.batcher.Do(r.Context(), key.Shape, prof, s.computePlans)
+			// The batch outlives this request when its context ends
+			// first, so it gets its own copy of the pooled profile.
+			plans, src, size, err = s.batcher.Do(r.Context(), key.Shape, prof.Clone(), s.computePlans)
 			if err == nil {
 				s.store.Put(key, planstore.Entry{Plans: plans, Source: src})
 				res = planstore.Result{Outcome: planstore.OutcomeMiss, Source: src}
@@ -366,8 +378,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Outcome:     res.Outcome.String(),
 		Aggregated:  aggregated,
 	}
-	if ps, err := wire.DecodePlanSet(plans); err == nil {
-		resp.Plans = len(ps.Plans)
+	if n, err := wire.PlanCount(plans); err == nil {
+		resp.Plans = n
 	}
 	status := http.StatusOK
 	if res.Outcome == planstore.OutcomeMiss || res.Outcome == planstore.OutcomeAggregated {

@@ -10,10 +10,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aptget/internal/core"
 	"aptget/internal/lbr"
@@ -565,5 +567,63 @@ func TestCPUProfileOutlivesRequestTimeout(t *testing.T) {
 	}
 	if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
 		t.Fatalf("profile body decompresses to %d bytes (err %v)", len(raw), err)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestWarmHitBytesIndependentOfProfileSize: a warm-hit POST decodes
+// into a pooled decoder's kept buffers, so the bytes it allocates do not
+// grow with the profile. The full IS profile and an eighth of its LBR
+// snapshots are each ingested once (the miss), then posted repeatedly;
+// a decode that allocated the profile would make the full profile's
+// posts cost most of the two profiles' decoded-size difference more.
+func TestWarmHitBytesIndependentOfProfileSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	full, fullBody := mustCollect(t, "IS")
+	small := *full
+	small.Samples = full.Samples[:len(full.Samples)/8]
+	smallBody := wire.EncodeProfile(&small)
+
+	var h http.Handler
+	post := func(body []byte, want int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profiles", bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("POST: status %d, want %d: %s", rec.Code, want, rec.Body)
+		}
+	}
+	bytesPerHit := func(body []byte) float64 {
+		// A fresh server each time: the two profiles share a loop shape,
+		// so one server would stale-match the second.
+		h = New(Config{}).Handler()
+		post(body, http.StatusCreated)
+		for i := 0; i < 3; i++ {
+			post(body, http.StatusOK)
+		}
+		const n = 40
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			post(body, http.StatusOK)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	}
+	smallB, fullB := bytesPerHit(smallBody), bytesPerHit(fullBody)
+
+	var entries int
+	for _, s := range full.Samples[len(small.Samples):] {
+		entries += len(s.Entries)
+	}
+	extra := float64(entries) * float64(unsafe.Sizeof(lbr.Entry{}))
+	t.Logf("warm hit: %.0f B/op with %d snapshots, %.0f B/op with %d (decoded difference %.0f B)",
+		smallB, len(small.Samples), fullB, len(full.Samples), extra)
+	if fullB-smallB > extra/8 {
+		t.Fatalf("warm hit allocates %.0f B/op more for the larger profile; its decoded entries differ by %.0f B",
+			fullB-smallB, extra)
 	}
 }

@@ -326,15 +326,56 @@ func (s *stream) finish() error {
 	return s.err
 }
 
-// decodeProfile is the shared incremental profile parser.
-func (s *stream) decodeProfile() *Profile {
+// Decoder decodes profile frames into buffers it keeps between calls:
+// the load, sample, LBR-entry and loop backings, the read window and the
+// SHA-256 state. A server decoding one upload per request reuses one
+// Decoder per in-flight request instead of allocating the profile
+// afresh. The returned *Profile aliases those buffers: it is valid until
+// the decoder's next decode, and a caller that keeps it longer keeps a
+// Clone. The zero Decoder is ready to use.
+type Decoder struct {
+	p       Profile
+	loads   []Load
+	samples []lbr.Sample
+	entries []lbr.Entry
+	loops   []LoopShape
+	// entryHint is the most LBR entries one decode has held; the next
+	// decode reserves that many in entries.
+	entryHint int
+	window    []byte
+	sum       hash.Hash
+	digest    [sha256.Size]byte
+}
+
+// DecodeProfileFrom is the package-level DecodeProfileFrom decoding into
+// d's buffers.
+func (d *Decoder) DecodeProfileFrom(r io.Reader) (*Profile, Fingerprint, error) {
+	if d.sum == nil {
+		d.sum = sha256.New()
+	}
+	d.sum.Reset()
+	s := stream{buf: d.window[:0], src: r, sum: d.sum}
+	p := d.decodeProfile(&s)
+	err := s.finish()
+	d.window = s.buf[:0]
+	if err != nil {
+		return nil, "", err
+	}
+	var fp [2 * fpBytes]byte
+	hex.Encode(fp[:], d.sum.Sum(d.digest[:0])[:fpBytes])
+	return p, Fingerprint(fp[:]), nil
+}
+
+// decodeProfile is the shared incremental profile parser. Each slice
+// starts from the decoder's backing and grows only as elements arrive,
+// so an adversarial length prefix still allocates no more than the
+// input delivers. Every sample's Entries is a full-capacity slice.
+func (d *Decoder) decodeProfile(s *stream) *Profile {
 	s.header(KindProfile)
-	p := &Profile{}
-	p.App = s.str()
-	p.Cycles = s.uint()
-	p.Instructions = s.uint()
+	p := &d.p
+	*p = Profile{App: s.str(), Cycles: s.uint(), Instructions: s.uint()}
 	if n := s.count(3); s.err == nil && n > 0 {
-		p.Loads = make([]Load, 0, s.sliceCap(n, 24))
+		p.Loads = reserve(d.loads, s.sliceCap(n, 24))
 		for i := 0; i < n && s.err == nil; i++ {
 			l := Load{PC: s.uint(), Samples: s.uint(), StallCycles: s.uint(), Share: s.f64()}
 			if i > 0 && lessLoad(&l, &p.Loads[i-1]) {
@@ -343,19 +384,34 @@ func (s *stream) decodeProfile() *Profile {
 			}
 			p.Loads = append(p.Loads, l)
 		}
+		d.loads = p.Loads
 	}
 	if n := s.count(2); s.err == nil && n > 0 {
-		p.Samples = make([]lbr.Sample, 0, s.sliceCap(n, 40))
+		p.Samples = reserve(d.samples, s.sliceCap(n, 40))
+		entries := reserve(d.entries, d.entryHint)
+		need := 0
 		for i := 0; i < n && s.err == nil; i++ {
 			var sm lbr.Sample
 			sm.Cycle = s.uint()
 			if m := s.count(3); s.err == nil && m > 0 {
-				sm.Entries = make([]lbr.Entry, 0, s.sliceCap(m, 24))
+				// A snapshot goes into the kept backing when it fits
+				// there, else into its own slice; either way it
+				// allocates nothing beyond what the stream delivers.
+				shared := cap(entries)-len(entries) >= m
+				es := entries[len(entries):]
+				if !shared {
+					es = make([]lbr.Entry, 0, s.sliceCap(m, 24))
+				}
 				for j := 0; j < m && s.err == nil; j++ {
-					sm.Entries = append(sm.Entries, lbr.Entry{
+					es = append(es, lbr.Entry{
 						From: s.uint(), To: s.uint(), Cycle: s.uint(),
 					})
 				}
+				sm.Entries = es[:len(es):len(es)]
+				if shared {
+					entries = entries[:len(entries)+len(es)]
+				}
+				need += len(es)
 			}
 			if s.err == nil && i > 0 && lessSample(&sm, &p.Samples[i-1]) {
 				s.fail("wire: frame is not canonical: samples out of order at index %d", i)
@@ -363,9 +419,13 @@ func (s *stream) decodeProfile() *Profile {
 			}
 			p.Samples = append(p.Samples, sm)
 		}
+		// The next decode reserves room for every entry this one held,
+		// so a reused decoder stops allocating once it has seen its
+		// largest profile, and a one-shot decoder never pays for it.
+		d.samples, d.entries, d.entryHint = p.Samples, entries, max(d.entryHint, need)
 	}
 	if n := s.count(5); s.err == nil && n > 0 {
-		p.Loops = make([]LoopShape, 0, s.sliceCap(n, 16))
+		p.Loops = reserve(d.loops, s.sliceCap(n, 16))
 		for i := 0; i < n && s.err == nil; i++ {
 			p.Loops = append(p.Loops, LoopShape{
 				Depth:        s.int32v(),
@@ -375,8 +435,17 @@ func (s *stream) decodeProfile() *Profile {
 				HasInduction: s.bool(),
 			})
 		}
+		d.loops = p.Loops
 	}
 	return p
+}
+
+// reserve returns buf emptied, with room for at least n elements.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }
 
 // decodePlanSet is the shared incremental plan-set parser. Plan order is
@@ -420,7 +489,7 @@ func (s *stream) decodePlanSet() *PlanSet {
 // service's network-facing parser.
 func DecodeProfile(data []byte) (*Profile, error) {
 	s := stream{buf: data}
-	p := s.decodeProfile()
+	p := new(Decoder).decodeProfile(&s)
 	if err := s.finish(); err != nil {
 		return nil, err
 	}
@@ -432,14 +501,10 @@ func DecodeProfile(data []byte) (*Profile, error) {
 // never buffers more than one window, and the returned Fingerprint is
 // the content address of the consumed bytes (identical to
 // FingerprintBytes over the same frame). r must end at the frame
-// boundary; trailing bytes are an error.
+// boundary; trailing bytes are an error. It decodes with a fresh
+// Decoder, so the profile is the caller's to keep.
 func DecodeProfileFrom(r io.Reader) (*Profile, Fingerprint, error) {
-	s := stream{src: r, sum: sha256.New()}
-	p := s.decodeProfile()
-	if err := s.finish(); err != nil {
-		return nil, "", err
-	}
-	return p, Fingerprint(hex.EncodeToString(s.sum.Sum(nil)[:fpBytes])), nil
+	return new(Decoder).DecodeProfileFrom(r)
 }
 
 // DecodePlanSet parses a plan-set frame from memory. Canonicality is
@@ -451,6 +516,20 @@ func DecodePlanSet(data []byte) (*PlanSet, error) {
 		return nil, err
 	}
 	return ps, nil
+}
+
+// PlanCount returns how many plans a plan-set frame holds. It reads
+// only the header, the app name's length and the plan count, so unlike
+// DecodePlanSet it does not check the plans themselves.
+func PlanCount(data []byte) (int, error) {
+	s := stream{buf: data}
+	s.header(KindPlanSet)
+	if n := s.count(1); s.err == nil {
+		s.pos += n
+		s.off += int64(n)
+	}
+	n := s.count(10)
+	return n, s.err
 }
 
 // DecodePlanSetFrom parses exactly one canonical plan-set frame from r,

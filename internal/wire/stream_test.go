@@ -184,10 +184,12 @@ func TestEncodeProfileFastPathMatchesSorted(t *testing.T) {
 	}
 }
 
-// Allocation regression locks for the zero/low-alloc claims. Decode
-// allocates the returned structures themselves (one Entries slice per
-// sample is the structural floor); encode of a canonical profile is a
-// single output-buffer allocation.
+// Allocation regression locks for the zero/low-alloc claims. A
+// one-shot decode allocates the returned structures themselves (one
+// Entries slice per sample is the structural floor); encode of a
+// canonical profile is a single output-buffer allocation. A reused
+// Decoder allocates only the reader, the app string and the
+// fingerprint, whatever the sample count.
 func TestWireAllocsPerRun(t *testing.T) {
 	p := benchProfile(64)
 	data := EncodeProfile(p)
@@ -208,5 +210,43 @@ func TestWireAllocsPerRun(t *testing.T) {
 		}
 	}); got > 82 { // + reader, hasher, window
 		t.Errorf("DecodeProfileFrom: %.1f allocs/op, want <= 82", got)
+	}
+	var d Decoder
+	for _, n := range []int{4, 64, 1024} {
+		data := EncodeProfile(benchProfile(n))
+		if got := testing.AllocsPerRun(50, func() {
+			if _, _, err := d.DecodeProfileFrom(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 3 { // reader, app string, fingerprint
+			t.Errorf("reused Decoder, %d samples: %.1f allocs/op, want <= 3", n, got)
+		}
+	}
+}
+
+// TestDecoderReuse: a Decoder decodes frames of shrinking and growing
+// size into its kept buffers and gives the same profile and fingerprint
+// as a fresh decode each time, including after a rejected frame.
+func TestDecoderReuse(t *testing.T) {
+	var d Decoder
+	for _, n := range []int{64, 3, 0, 200, 17} {
+		data := EncodeProfile(benchProfile(n))
+		want, wantFP, err := DecodeProfileFrom(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.DecodeProfileFrom(bytes.NewReader(data[:len(data)-1])); err == nil {
+			t.Fatalf("%d samples: truncated frame accepted", n)
+		}
+		got, fp, err := d.DecodeProfileFrom(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != wantFP || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d samples: reused decoder disagrees with a fresh decode", n)
+		}
+		if !bytes.Equal(EncodeProfile(got), data) {
+			t.Fatalf("%d samples: reused decode does not re-encode to its frame", n)
+		}
 	}
 }

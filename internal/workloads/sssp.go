@@ -26,10 +26,11 @@ type SSSP struct {
 	dist, meta ir.Array // meta[0]: changed flag
 }
 
-// NewSSSP builds the workload; the round budget comes from the native
-// run (rounds to convergence + 1 idle round).
+// NewSSSP builds the workload on g's edge weights (g.Weighted); the
+// round budget comes from the native run (rounds to convergence + 1 idle
+// round).
 func NewSSSP(label string, g *graphgen.Graph, source int64) *SSSP {
-	w := &SSSP{Label: label, G: g, Source: source}
+	w := &SSSP{Label: label, G: g.Weighted(), Source: source}
 	w.wantDist, w.rounds = nativeSSSP(g, source)
 	return w
 }
