@@ -12,7 +12,6 @@ package graphgen
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 )
 
 // Graph is a directed graph in compressed sparse row form — the layout
@@ -65,28 +64,42 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// fromEdges builds a CSR graph from an edge list, sorting adjacency for
-// determinism. Only SSSP reads edge weights, so they are drawn on demand
-// (Weighted) instead of here.
+// fromEdges builds a CSR graph from an edge list with every row sorted
+// ascending, so the layout depends only on the edge multiset. It sorts
+// without comparisons, in two counting passes: the first buckets the
+// edges' sources by destination, the second walks the buckets in
+// ascending destination order and appends each destination to its
+// source's row, so every row fills in ascending order. The rows are
+// written over dst, which the caller gives up. Only SSSP reads edge
+// weights, so they are drawn on demand (Weighted) instead of here.
 func fromEdges(name string, n int64, src, dst []int64, seed int64) *Graph {
-	deg := make([]int64, n)
-	for _, u := range src {
-		deg[u]++
-	}
-	row := make([]int64, n+1)
-	for i := int64(0); i < n; i++ {
-		row[i+1] = row[i] + deg[i]
-	}
-	col := make([]int64, len(src))
-	next := append([]int64(nil), row[:n]...)
+	m := int64(len(src))
+	// Both offset arrays count at [x+2] so that, after the prefix sum,
+	// [x+1] is x's start and serves as its write cursor; once filled,
+	// [x+1] is x's end and [x] its start.
+	byDst := make([]int64, n+2)
+	row := make([]int64, n+2)
 	for i, u := range src {
-		col[next[u]] = dst[i]
-		next[u]++
+		byDst[dst[i]+2]++
+		row[u+2]++
 	}
-	for i := int64(0); i < n; i++ {
-		slices.Sort(col[row[i]:row[i+1]])
+	for i := int64(2); i < n+2; i++ {
+		byDst[i] += byDst[i-1]
+		row[i] += row[i-1]
 	}
-	return &Graph{Name: name, N: n, RowPtr: row, Col: col, seed: seed}
+	bySrc := make([]int64, m)
+	for i, v := range dst {
+		bySrc[byDst[v+1]] = src[i]
+		byDst[v+1]++
+	}
+	col := dst[:m:m]
+	for v := int64(0); v < n; v++ {
+		for _, u := range bySrc[byDst[v]:byDst[v+1]] {
+			col[row[u+1]] = v
+			row[u+1]++
+		}
+	}
+	return &Graph{Name: name, N: n, RowPtr: row[: n+1 : n+1], Col: col, seed: seed}
 }
 
 // Weighted fills Weight with the graph's edge weights in [1, 15], drawn

@@ -37,13 +37,51 @@ func Ricker(points int, a float64) []float64 {
 // (len(signal)) samples — numpy.convolve(..., mode="same").
 func convolveSame(signal, kernel []float64) []float64 {
 	out := make([]float64, len(signal))
-	convolveSameInto(out, signal, kernel)
+	convolveSameInto(out, signal, kernel, sparseBins(nil, signal))
 	return out
 }
 
+// sparseBins returns the indices of signal's non-zero bins, ascending,
+// in buf's storage — or nil when more than half the bins are non-zero.
+// A term gathered through the index list costs more than a dense one
+// (about 1.2x on an x86-64 host), so the list pays only when it skips
+// enough terms. With at most half the bins listed it wins even at twice
+// the per-term cost, so the choice never makes a row slower than the
+// dense loop.
+func sparseBins(buf []int, signal []float64) []int {
+	count := 0
+	for _, v := range signal {
+		if v != 0 {
+			count++
+		}
+	}
+	if 2*count > len(signal) {
+		return nil
+	}
+	nz := buf[:0]
+	if nz == nil {
+		nz = make([]int, 0, count) // non-nil even when empty
+	}
+	for j, v := range signal {
+		if v != 0 {
+			nz = append(nz, j)
+		}
+	}
+	return nz
+}
+
 // convolveSameInto is convolveSame writing into caller-owned storage
-// (len(out) == len(signal)).
-func convolveSameInto(out, signal, kernel []float64) {
+// (len(out) == len(signal)). nz is sparseBins(…, signal): nil sums over
+// every bin, otherwise only the listed non-zero bins are visited.
+//
+// Output i is the sum of kernel[k]·signal[f-k] over the kernel taps k
+// that land on the signal, added in ascending k (descending signal
+// index). The sparse loop skips the terms on zero bins and adds the
+// others in that same order, so every output is bit-identical to the
+// dense sum: the accumulator starts at +0, x + (±0) == x for every x,
+// and a sum of non-zero terms that cancels is +0 under round-to-nearest,
+// so a skipped ±0 term can never have changed it.
+func convolveSameInto(out, signal, kernel []float64, nz []int) {
 	n, m := len(signal), len(kernel)
 	// full convolution index f = s + k; "same" keeps f in
 	// [m/2, m/2 + n). numpy centres an even-length kernel on the
@@ -52,19 +90,37 @@ func convolveSameInto(out, signal, kernel []float64) {
 	// len(signal); using (m-1)/2 there shifts every response — and so
 	// every detected peak — one bin low.
 	off := m / 2
+	if nz == nil {
+		for i := 0; i < n; i++ {
+			f := i + off
+			var sum float64
+			kLo := max(f-(n-1), 0)
+			kHi := min(f, m-1)
+			for k := kLo; k <= kHi; k++ {
+				sum += kernel[k] * signal[f-k]
+			}
+			out[i] = sum
+		}
+		return
+	}
+	// nz[first:last] are the non-zero bins in output i's signal window
+	// [f-kHi, f-kLo]; both ends only move right as i grows.
+	first, last := 0, 0
 	for i := 0; i < n; i++ {
 		f := i + off
+		jLo := max(f-(m-1), 0)
+		jHi := min(f, n-1)
+		for last < len(nz) && nz[last] <= jHi {
+			last++
+		}
+		for first < last && nz[first] < jLo {
+			first++
+		}
+		win := nz[first:last]
 		var sum float64
-		kLo := f - (n - 1)
-		if kLo < 0 {
-			kLo = 0
-		}
-		kHi := f
-		if kHi > m-1 {
-			kHi = m - 1
-		}
-		for k := kLo; k <= kHi; k++ {
-			sum += kernel[k] * signal[f-k]
+		for t := len(win) - 1; t >= 0; t-- {
+			j := win[t]
+			sum += kernel[f-j] * signal[j]
 		}
 		out[i] = sum
 	}

@@ -1,14 +1,30 @@
-// FFT-based convolution for the CWT hot path. The direct O(n·m)
-// convolution in convolveSame is fine for the small histograms the
-// paper's figures use, but the serve path feeds the width ladder with
-// histograms of thousands of bins, where the ladder cost grows as
-// bins² × widths. This file provides the O(n log n) alternative: a
-// pure-Go iterative radix-2 real-input FFT (the half-size complex-FFT
-// packing), per-(points,width) kernel spectrum caching so repeated
-// FindPeaksCWT calls on same-shaped histograms skip the kernel
-// transforms entirely, and pooled scratch reused across the width
-// ladder. convolveSameAuto picks FFT or direct per row by operation
-// count; both produce numpy mode="same" semantics.
+// The two convolution backends of the CWT width ladder, and the rule
+// that picks one per row (cwtMatrix).
+//
+// Direct (convolveSameInto, cwt.go) adds kernel·signal products in a
+// fixed order, so its rows are the same bits on every run, and the
+// paper-scale goldens use it. It skips the products on empty histogram
+// bins: loop-latency histograms are mostly empty (8–38% of bins are
+// non-zero in the serve-cold windows), and skipping a zero term never
+// changes a bit of the sum. A ladder scans its signal for non-zero bins
+// once; when at most half are non-zero, every direct row gathers
+// through that index list, and denser signals take the dense loop.
+//
+// FFT (convolveSameFFT) costs O(N log N) per row instead of O(n·m),
+// which pays off on the serve path's large degenerate histograms, where
+// the direct ladder grows as bins² × widths. It is a pure-Go iterative
+// radix-2 real-input FFT (the half-size complex-FFT packing) with
+// per-(points,width) kernel spectra cached, so repeated FindPeaksCWT
+// calls on same-shaped histograms skip the kernel transforms, and
+// pooled scratch reused across the ladder. Its rows differ from the
+// direct ones in the low-order bits.
+//
+// The cutover decides on the signal length and kernel support alone:
+// signals under fftMinSignal bins always go direct, longer ones take the
+// FFT for rows whose direct operation count exceeds fftRowCost. Moving
+// a row across it would change low-order bits and could change plans,
+// so the zero-skipping speed-up does not feed back into it. Both
+// backends produce numpy mode="same" semantics.
 package peaks
 
 import (
@@ -294,6 +310,7 @@ type cwtScratch struct {
 	rows    []float64    // flat CWT matrix backing (len(widths)·n)
 	views   [][]float64  // per-width row views into rows
 	row0    []float64    // |cwt[0]| noise row
+	nz      []int        // the signal's sparseBins (direct rows)
 	noise   []float64    // percentile window copy
 }
 
@@ -417,7 +434,8 @@ func (st *cwtScratch) cwtMatrix(signal []float64, widths []int, mode convMode, c
 		}
 	}
 	N := nextPow2(n + mMax - 1)
-	prepared := false
+	prepared, scanned := false, false
+	var nz []int
 	for i, w := range widths {
 		points := kernelPoints(n, w)
 		row := st.rows[i*n : (i+1)*n : (i+1)*n]
@@ -434,8 +452,16 @@ func (st *cwtScratch) cwtMatrix(signal []float64, widths []int, mode convMode, c
 				c.fftRows++
 			}
 		} else {
+			if !scanned {
+				// One scan for zero bins serves every direct row. A dense
+				// signal gets nil; st.nz keeps its buffer for the next.
+				if nz = sparseBins(st.nz, signal); nz != nil {
+					st.nz = nz
+				}
+				scanned = true
+			}
 			wav, hit := rickerCached(points, w)
-			convolveSameInto(row, signal, wav)
+			convolveSameInto(row, signal, wav, nz)
 			if c != nil {
 				c.directRows++
 				if hit {

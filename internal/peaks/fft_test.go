@@ -151,12 +151,20 @@ func TestCWTRowAllocsPerRun(t *testing.T) {
 		t.Errorf("warm FFT row: %.1f allocs/op, want 0", got)
 	}
 
-	// The direct row path with a memoized wavelet is equally clean.
+	// The direct row path with a memoized wavelet is equally clean, on
+	// the dense loop and on the sparse one.
 	wav, _ := rickerCached(points, width)
-	if got := testing.AllocsPerRun(50, func() {
-		convolveSameInto(out, sig, wav)
-	}); got > 0 {
-		t.Errorf("direct row: %.1f allocs/op, want 0", got)
+	sparse := make([]float64, len(sig))
+	for i := 0; i < len(sig); i += 3 {
+		sparse[i] = sig[i]
+	}
+	for _, s := range [][]float64{sig, sparse} {
+		nz := sparseBins(nil, s)
+		if got := testing.AllocsPerRun(50, func() {
+			convolveSameInto(out, s, wav, nz)
+		}); got > 0 {
+			t.Errorf("direct row (sparse=%v): %.1f allocs/op, want 0", nz != nil, got)
+		}
 	}
 }
 

@@ -130,6 +130,33 @@ func (s *stream) full(dst []byte) {
 // uint reads a minimally-encoded uvarint: a multi-byte encoding whose
 // final byte is zero carries padding the canonical writer never emits.
 func (s *stream) uint() uint64 {
+	if s.err != nil {
+		return 0
+	}
+	// Fast path: the longest encoding (10 bytes) is buffered, so decode
+	// straight from the window in one loop with one exit and no refill
+	// checks. It accepts exactly what the byte-wise path below does.
+	if b := s.buf[s.pos:]; len(b) >= 10 {
+		var v uint64
+		i := 0
+		for ; i < 9 && b[i] >= 0x80; i++ {
+			v |= uint64(b[i]&0x7f) << (7 * i)
+		}
+		// The loop stops at a byte below 0x80 or at the tenth byte,
+		// which may carry only the 64th bit.
+		last := b[i]
+		switch {
+		case i == 9 && last > 1:
+			s.fail("wire: uvarint overflows 64 bits at offset %d", s.off)
+			return 0
+		case i > 0 && last == 0:
+			s.fail("wire: frame is not canonical: padded varint at offset %d", s.off)
+			return 0
+		}
+		s.pos += i + 1
+		s.off += int64(i + 1)
+		return v | uint64(last)<<(7*i)
+	}
 	start := s.off
 	var v uint64
 	var shift uint

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
 	"strings"
 	"testing"
@@ -247,6 +248,86 @@ func TestDecoderReuse(t *testing.T) {
 		}
 		if !bytes.Equal(EncodeProfile(got), data) {
 			t.Fatalf("%d samples: reused decode does not re-encode to its frame", n)
+		}
+	}
+}
+
+// TestUintSplitAcrossRefills: stream.uint decodes straight from the
+// window when ten bytes are buffered and byte by byte otherwise. Both
+// paths must accept the same encodings with the same values and reject
+// the rest with the same error. Each edge encoding is placed so that it
+// starts 0–11 bytes before a streamChunk boundary and is decoded from
+// memory (fast path), from a chunked reader (the window refills
+// mid-varint when fewer than ten bytes are left before the boundary)
+// and from a one-byte reader (byte-wise throughout).
+func TestUintSplitAcrossRefills(t *testing.T) {
+	ff := func(n int) []byte { return bytes.Repeat([]byte{0xff}, n) }
+	c80 := func(n int) []byte { return bytes.Repeat([]byte{0x80}, n) }
+	cases := []struct {
+		name string
+		enc  []byte
+		want uint64
+		err  string // "" when accepted
+	}{
+		{"zero", []byte{0x00}, 0, ""},
+		{"one byte max", []byte{0x7f}, 127, ""},
+		{"two bytes", []byte{0x80, 0x01}, 128, ""},
+		{"nine bytes max", append(ff(8), 0x7f), 1<<63 - 1, ""},
+		{"2^63", append(c80(9), 0x01), 1 << 63, ""},
+		{"uint64 max", append(ff(9), 0x01), 1<<64 - 1, ""},
+		{"overflow tenth byte", append(ff(9), 0x02), 0, "overflows"},
+		{"eleven bytes", append(c80(10), 0x01), 0, "overflows"},
+		{"padded", []byte{0x80, 0x00}, 0, "padded"},
+		{"padded ten bytes", append(c80(9), 0x00), 0, "padded"},
+		{"truncated", []byte{0x80}, 0, "truncated"},
+		{"truncated nine bytes", ff(9), 0, "truncated"},
+	}
+	const tail = 5 // a one-byte varint after each accepted encoding
+	for _, c := range cases {
+		for lead := 0; lead <= 11; lead++ {
+			// streamChunk-lead one-byte zero varints put the encoding's
+			// first byte lead bytes before the window's first refill.
+			// Accepted and rejected encodings are followed by the tail
+			// and ten unread bytes, so the in-memory decode takes the
+			// fast path on them.
+			data := make([]byte, streamChunk-lead, streamChunk+32)
+			data = append(data, c.enc...)
+			if c.err != "truncated" {
+				data = append(data, tail)
+				data = append(data, make([]byte, 10)...)
+			}
+			sources := map[string]func() *stream{
+				"memory":   func() *stream { return &stream{buf: data} },
+				"chunked":  func() *stream { return &stream{src: bytes.NewReader(data), sum: sha256.New()} },
+				"one-byte": func() *stream { return &stream{src: iotest.OneByteReader(bytes.NewReader(data)), sum: sha256.New()} },
+			}
+			var firstErr string
+			for src, open := range sources {
+				s := open()
+				for i := 0; i < streamChunk-lead; i++ {
+					if v := s.uint(); v != 0 || s.err != nil {
+						t.Fatalf("%s/%s lead %d: filler varint %d = %d, %v", c.name, src, lead, i, v, s.err)
+					}
+				}
+				v := s.uint()
+				if c.err == "" {
+					if s.err != nil || v != c.want {
+						t.Errorf("%s/%s lead %d: got %d, %v; want %d", c.name, src, lead, v, s.err, c.want)
+					} else if next := s.uint(); next != tail || s.err != nil {
+						t.Errorf("%s/%s lead %d: next varint = %d, %v; want %d", c.name, src, lead, next, s.err, tail)
+					}
+					continue
+				}
+				if s.err == nil || !strings.Contains(s.err.Error(), c.err) {
+					t.Errorf("%s/%s lead %d: got %d, %v; want a %q rejection", c.name, src, lead, v, s.err, c.err)
+					continue
+				}
+				if firstErr == "" {
+					firstErr = s.err.Error()
+				} else if s.err.Error() != firstErr {
+					t.Errorf("%s/%s lead %d: error %q differs from %q", c.name, src, lead, s.err, firstErr)
+				}
+			}
 		}
 	}
 }
