@@ -1,16 +1,15 @@
 package main
 
 // In-process fleet harness for the serve benchmark: N aptgetd shards
-// (aggregation window enabled) behind one aptrouter, all on loopback
-// ports. Shards know nothing of each other; the router owns placement
-// and failover. The serve bench drives loadgen through the router to
-// measure fleet-wide throughput against the single-server baseline.
+// behind one aptrouter, all on loopback ports. Shards know nothing of
+// each other; the router owns placement and failover. The serve bench
+// drives loadgen through the router to measure fleet-wide throughput
+// against the single-server baseline.
 
 import (
 	"context"
 	"fmt"
 	"net"
-	"time"
 
 	"aptget/internal/router"
 	"aptget/internal/service"
@@ -25,10 +24,8 @@ type fleetHarness struct {
 	done       chan error
 }
 
-// startFleet boots n shards and a router over them. Each shard
-// aggregates same-shape bursts of up to aggWindow profiles per aggWait
-// window.
-func startFleet(n, aggWindow int, aggWait time.Duration) (*fleetHarness, error) {
+// startFleet boots n shards and a router over them.
+func startFleet(n int) (*fleetHarness, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &fleetHarness{cancel: cancel, done: make(chan error, n+1)}
 
@@ -45,11 +42,7 @@ func startFleet(n, aggWindow int, aggWait time.Duration) (*fleetHarness, error) 
 	}
 
 	for i := 0; i < n; i++ {
-		srv := service.New(service.Config{
-			MaxInflight:     256,
-			AggregateWindow: aggWindow,
-			AggregateWait:   aggWait,
-		})
+		srv := service.New(service.Config{MaxInflight: 256})
 		h.shards = append(h.shards, srv)
 		go func(srv *service.Server, ln net.Listener) {
 			h.done <- srv.Serve(ctx, ln)

@@ -320,7 +320,7 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 	fmt.Fprintf(stdout, "requests: %d ok, %d rejected (429), %d failed, %d dropped\n",
 		ok.Load(), rejected.Load(), failed.Load(), dropped.Load())
 	var outcomeParts []string
-	for _, name := range []string{"miss", "hit", "stale_match", "aggregated"} {
+	for _, name := range []string{"miss", "hit", "stale_match"} {
 		if v, loaded := outcomes.Load(name); loaded {
 			outcomeParts = append(outcomeParts,
 				fmt.Sprintf("%s=%d", name, v.(*atomic.Int64).Load()))
@@ -355,7 +355,7 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 		return stats, fmt.Errorf("%d request(s) failed hard; first: %w", failed.Load(), firstErr)
 	}
 	if opt.Relocate != 0 {
-		if n := stats.Outcomes["miss"] + stats.Outcomes["aggregated"]; n > 0 {
+		if n := stats.Outcomes["miss"]; n > 0 {
 			return stats, fmt.Errorf(
 				"loadgen: %d relocated profile(s) re-ran analysis; stale-shape matching "+
 					"should have served every one from the warmed cache", n)

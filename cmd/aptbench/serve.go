@@ -68,7 +68,6 @@ type FleetTiming struct {
 	OpenLoopOfferedPerSec  float64 `json:"open_loop_offered_req_per_sec"`
 	OpenLoopAchievedPerSec float64 `json:"open_loop_achieved_req_per_sec"`
 	OpenLoopDropRejectRate float64 `json:"open_loop_drop_reject_rate"`
-	AggregateSavedAnalyses int64   `json:"aggregate_saved_analyses"`
 }
 
 // ServeBenchReport is the schema of BENCH_serve.json.
@@ -188,7 +187,7 @@ func timeWire(app string) (WireTiming, error) {
 // load.
 func timeFleet(single LoadgenTiming, lgOpt loadgenOptions) (FleetTiming, error) {
 	const shards = 3
-	fleet, err := startFleet(shards, 8, 50*time.Millisecond)
+	fleet, err := startFleet(shards)
 	if err != nil {
 		return FleetTiming{}, err
 	}
@@ -227,7 +226,6 @@ func timeFleet(single LoadgenTiming, lgOpt loadgenOptions) (FleetTiming, error) 
 	ft.OpenLoopOfferedPerSec = open.Rate
 	ft.OpenLoopAchievedPerSec = float64(ostats.OK) / ostats.Elapsed.Seconds()
 	ft.OpenLoopDropRejectRate = ostats.DropRejectRate()
-	ft.AggregateSavedAnalyses = fleet.Counters()["aggregate_saved_analyses"]
 	return ft, nil
 }
 
@@ -280,10 +278,10 @@ func runServeBench(quick bool, outPath string) error {
 		return fmt.Errorf("serve bench: fleet: %w", err)
 	}
 	report.Fleet = ft
-	fmt.Printf("bench %-10s %8.1freq/s (%.2fx single) P50=%.2fms P99=%.2fms; open loop %.1f offered -> %.1f achieved, %.2f%% dropped/rejected, %d analyses saved by aggregation\n",
+	fmt.Printf("bench %-10s %8.1freq/s (%.2fx single) P50=%.2fms P99=%.2fms; open loop %.1f offered -> %.1f achieved, %.2f%% dropped/rejected\n",
 		"fleet", ft.ReqPerSec, ft.SpeedupVsSingle, ft.P50Ms, ft.P99Ms,
 		ft.OpenLoopOfferedPerSec, ft.OpenLoopAchievedPerSec,
-		100*ft.OpenLoopDropRejectRate, ft.AggregateSavedAnalyses)
+		100*ft.OpenLoopDropRejectRate)
 
 	data, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {

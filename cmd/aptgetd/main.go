@@ -11,10 +11,10 @@
 //
 // As a fleet shard behind aptrouter it needs no knowledge of its
 // siblings: the router owns placement and fails over along the ring
-// when a shard dies. A shard can aggregate fleet profile bursts into
-// single analyses:
+// when a shard dies, so a shard runs with the same flags as a lone
+// daemon:
 //
-//	aptgetd -addr :7701 -aggregate-window 8 -aggregate-wait 50ms
+//	aptgetd -addr :7701
 //
 // GET /debug/pprof/profile?seconds=N returns a CPU profile of the live
 // daemon; the file feeds a profile-guided rebuild directly:
@@ -36,7 +36,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"aptget/internal/aggregate"
 	"aptget/internal/obs"
 	"aptget/internal/planstore"
 	"aptget/internal/service"
@@ -60,8 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	inflight := fs.Int("inflight", service.DefaultMaxInflight, "max concurrently served requests before 429")
 	timeout := fs.Duration("timeout", service.DefaultRequestTimeout, "per-request deadline")
 	report := fs.String("report", "", "write per-stage observability records to this JSON file on shutdown")
-	aggWindow := fs.Int("aggregate-window", 0, "merge up to N same-shape profiles into one analysis (0 disables)")
-	aggWait := fs.Duration("aggregate-wait", 0, "max time the first profile of a window waits for the burst (0 selects the default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,11 +73,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	srv := service.New(service.Config{
-		CacheCapacity:   *cache,
-		MaxInflight:     *inflight,
-		RequestTimeout:  *timeout,
-		AggregateWindow: *aggWindow,
-		AggregateWait:   *aggWait,
+		CacheCapacity:  *cache,
+		MaxInflight:    *inflight,
+		RequestTimeout: *timeout,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -89,14 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "aptgetd: listening on %s (cache %d entries, %d in-flight, %s timeout)\n",
 		ln.Addr(), *cache, *inflight, *timeout)
-	if *aggWindow >= 2 {
-		wait := *aggWait
-		if wait <= 0 {
-			wait = aggregate.DefaultWait
-		}
-		fmt.Fprintf(stdout, "aptgetd: aggregating up to %d same-shape profiles per %s window\n",
-			*aggWindow, wait)
-	}
 
 	if err := srv.Serve(ctx, ln); err != nil {
 		fmt.Fprintf(stderr, "aptgetd: %v\n", err)

@@ -44,7 +44,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	shards := fs.String("shards", "", "comma-separated aptgetd shard addresses (required)")
 	vnodes := fs.Int("vnodes", ring.DefaultVirtualNodes, "virtual nodes per shard on the hash ring")
 	retries := fs.Int("retries", 0, "max distinct shards tried per request, owner included (0 = all)")
-	timeout := fs.Duration("timeout", router.DefaultTimeout, "per-upstream-attempt deadline")
+	timeout := fs.Duration("timeout", router.DefaultTimeout, "per-upstream-attempt deadline; also the deadline for reading a request")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

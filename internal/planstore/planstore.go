@@ -44,9 +44,6 @@ const (
 	// OutcomeStaleMatch: exact fingerprint missed, but an entry with the
 	// same loop-structure hash was served without re-running analysis.
 	OutcomeStaleMatch
-	// OutcomeAggregated: the request joined an aggregation window and was
-	// served from one analysis of the merged fleet profile.
-	OutcomeAggregated
 )
 
 func (o Outcome) String() string {
@@ -55,8 +52,6 @@ func (o Outcome) String() string {
 		return "hit"
 	case OutcomeStaleMatch:
 		return "stale_match"
-	case OutcomeAggregated:
-		return "aggregated"
 	}
 	return "miss"
 }
@@ -117,13 +112,16 @@ func (s *Store) Counters() map[string]int64 {
 // path). Does not count hits or misses; ingestion owns that accounting.
 func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) { return s.lru.Lookup(fp) }
 
-// Put stores externally computed plans (aggregated analyses) under key,
-// counting nothing.
+// Put stores externally computed plans under key, counting nothing.
+// Its caller is perfbench's traced serve replay
+// (perfbench/traced_serve.go), which seeds its cache with plans it
+// computed outside the store.
 func (s *Store) Put(key Key, e Entry) { s.lru.Put(key, e) }
 
 // TryGet serves key from the cache or a same-shape stale entry without
-// ever computing: the aggregation ingest path uses it to give cached
-// profiles the normal hit/stale accounting before joining a window.
+// ever computing. Its caller is perfbench's traced serve replay
+// (perfbench/traced_serve.go), which times the lookup apart from the
+// analysis a miss then runs.
 func (s *Store) TryGet(key Key) ([]byte, Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

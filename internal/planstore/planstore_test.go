@@ -261,8 +261,8 @@ func TestPutRefreshesExistingEntry(t *testing.T) {
 	b.Put(kA, Entry{Plans: plans(1), Source: kA.Profile})
 	b.Put(kB, Entry{Plans: plans(2), Source: kA.Profile})
 
-	// Re-insert kA with fresh bytes — an aggregated analysis re-publishing
-	// plans for a fingerprint already cached.
+	// Re-insert kA with fresh bytes — a direct Put re-publishing plans
+	// for a fingerprint already cached.
 	b.Put(kA, Entry{Plans: plans(3), Source: kA.Profile})
 
 	got, ok := b.Lookup(kA.Profile)
@@ -326,7 +326,7 @@ func TestEvictionChurnKeepsMapsConsistent(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := key(i, shapes[i%len(shapes)])
 		mustCompute(t, s, k, i)
-		if i%7 == 0 { // sprinkle direct Puts (aggregation path) into the churn
+		if i%7 == 0 { // sprinkle direct Puts into the churn
 			b.Put(key(i/2, shapes[(i/2)%len(shapes)]), Entry{Plans: plans(i), Source: k.Profile})
 		}
 		if i%13 == 0 {

@@ -59,7 +59,8 @@ type Config struct {
 	// Retries caps how many distinct shards one request tries, owner
 	// included (≤0 → all shards).
 	Retries int
-	// Timeout bounds one upstream attempt.
+	// Timeout bounds one upstream attempt, and the reading of one
+	// client request (headers and body) as the server's ReadTimeout.
 	Timeout time.Duration
 	// MaxBodyBytes caps the ingest payload the router will buffer for
 	// fingerprinting and replay across retries.
@@ -146,6 +147,10 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           rt.handler,
 		ReadHeaderTimeout: 10 * time.Second,
+		// ReadTimeout also bounds body reads: the ingest handler buffers
+		// the whole body, so a client that stalls mid-upload would
+		// otherwise pin a goroutine and up to MaxBodyBytes of memory.
+		ReadTimeout: rt.cfg.Timeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

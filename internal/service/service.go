@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aptget/internal/aggregate"
 	"aptget/internal/analysis"
 	"aptget/internal/core"
 	"aptget/internal/mem"
@@ -60,8 +59,7 @@ const (
 )
 
 // HeaderSource on a GET /v1/plans/{fp} reply names the profile the
-// served plans were computed from (differs from {fp} on stale matches
-// and merged aggregation windows).
+// served plans were computed from (differs from {fp} on stale matches).
 const HeaderSource = "X-Apt-Source"
 
 // maxCaptureWait bounds one /debug/pprof/profile request: 120 s of
@@ -91,16 +89,6 @@ type Config struct {
 
 	// MaxBodyBytes caps the ingest payload.
 	MaxBodyBytes int64
-
-	// AggregateWindow ≥2 enables fleet-wide profile aggregation on
-	// ingest: up to AggregateWindow cold same-shape profiles arriving
-	// within AggregateWait are merged (sample-count weighted) and
-	// analyzed once. ≤1 disables aggregation.
-	AggregateWindow int
-
-	// AggregateWait bounds how long the first profile of a window waits
-	// for the rest of a fleet burst (≤0 → aggregate.DefaultWait).
-	AggregateWait time.Duration
 }
 
 func (c *Config) fill() {
@@ -131,7 +119,6 @@ func (c *Config) fill() {
 type Server struct {
 	cfg     Config
 	store   *planstore.Store
-	batcher *aggregate.Batcher // nil unless AggregateWindow ≥ 2
 	sem     chan struct{}
 	handler http.Handler
 
@@ -151,20 +138,17 @@ type IngestResponse struct {
 	ShapeHash   string `json:"shape_hash"`
 	Plans       int    `json:"plans"`
 	// Outcome is how the request was served: "miss" (this request ran
-	// the analysis), "hit" (exact fingerprint), "stale_match", or
-	// "aggregated" (served from one analysis of a merged fleet window).
+	// the analysis), "hit" (exact fingerprint, or a wait on the same
+	// profile's in-flight analysis) or "stale_match".
 	Outcome      string `json:"outcome"`
 	StaleMatched bool   `json:"stale_matched"`
-	// Aggregated is the number of profiles merged into the analysis that
-	// produced these plans (0 when the request did not join a window).
-	Aggregated int `json:"aggregated,omitempty"`
 	// SourceFingerprint names the profile the served plans were computed
 	// from; differs from Fingerprint only on stale matches.
 	SourceFingerprint string `json:"source_fingerprint,omitempty"`
 }
 
-// MetricsResponse is the GET /v1/metrics reply: the plan-cache,
-// backpressure and aggregation counters.
+// MetricsResponse is the GET /v1/metrics reply: the plan-cache and
+// backpressure counters.
 type MetricsResponse struct {
 	Counters map[string]int64 `json:"counters"`
 }
@@ -182,9 +166,6 @@ func New(cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxInflight),
 	}
 	s.decoders.New = func() any { return new(wire.Decoder) }
-	if cfg.AggregateWindow >= 2 {
-		s.batcher = aggregate.NewBatcher(cfg.AggregateWindow, cfg.AggregateWait)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handleIngest)
@@ -217,11 +198,6 @@ func (s *Server) Counters() map[string]int64 {
 	c := s.store.Counters()
 	c["requests_rejected_backpressure"] = s.rejected.Load()
 	c["requests_rejected_oversize"] = s.oversize.Load()
-	if s.batcher != nil {
-		for k, v := range s.batcher.Counters() {
-			c[k] += v
-		}
-	}
 	return c
 }
 
@@ -330,38 +306,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Shape:   prof.ShapeHash(),
 	}
 
-	var (
-		plans      []byte
-		res        planstore.Result
-		aggregated int
-	)
-	if s.batcher != nil {
-		// Aggregating ingest: cached profiles (exact or same-shape stale)
-		// are served immediately with the normal accounting; only cold
-		// shapes join the window, so a fleet burst of K re-profiles costs
-		// one analysis of the merged evidence.
-		var ok bool
-		plans, res, ok = s.store.TryGet(key)
-		if !ok {
-			var src wire.Fingerprint
-			var size int
-			// The batch outlives this request when its context ends
-			// first, so it gets its own copy of the pooled profile.
-			plans, src, size, err = s.batcher.Do(r.Context(), key.Shape, prof.Clone(), s.computePlans)
-			if err == nil {
-				s.store.Put(key, planstore.Entry{Plans: plans, Source: src})
-				res = planstore.Result{Outcome: planstore.OutcomeMiss, Source: src}
-				if size > 1 {
-					res.Outcome = planstore.OutcomeAggregated
-					aggregated = size
-				}
-			}
-		}
-	} else {
-		plans, res, err = s.store.GetOrCompute(key, func() ([]byte, error) {
-			return s.computePlans(prof)
-		})
-	}
+	plans, res, err := s.store.GetOrCompute(key, func() ([]byte, error) {
+		return s.computePlans(prof)
+	})
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -376,13 +323,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: string(key.Profile),
 		ShapeHash:   string(key.Shape),
 		Outcome:     res.Outcome.String(),
-		Aggregated:  aggregated,
 	}
 	if n, err := wire.PlanCount(plans); err == nil {
 		resp.Plans = n
 	}
 	status := http.StatusOK
-	if res.Outcome == planstore.OutcomeMiss || res.Outcome == planstore.OutcomeAggregated {
+	if res.Outcome == planstore.OutcomeMiss {
 		status = http.StatusCreated
 	}
 	if res.Outcome == planstore.OutcomeStaleMatch {
@@ -447,9 +393,7 @@ func (s *Server) computePlans(p *wire.Profile) ([]byte, error) {
 	prof := p.ToProfile()
 	// Re-run the shared selection gate on the decoded loads: scores are
 	// derived (stall × period / kilo-instruction), not wire fields, so
-	// the server recomputes them — idempotent for a client-gated profile,
-	// and the only correct way to score an *aggregated* profile, whose
-	// stall and instruction sums only exist after the merge.
+	// the server recomputes them — idempotent for a client-gated profile.
 	prof.Loads = profile.SelectLoads(prof.Loads, prof.Counters.Instructions, s.cfg.Pipeline.Profile)
 	plans, err := analysis.Analyze(prog, prof, aopt)
 	sp.End()

@@ -42,7 +42,7 @@ func benchProfile(nSamples int) *Profile {
 
 // BenchmarkHotWireDecode is the ingest hot path: parsing (and
 // canonicality-checking) one profile frame, at loadgen-corpus size and at
-// a large fleet-aggregation size. Tracked by the CI bench gate.
+// a large size (2048 LBR snapshots). Tracked by the CI bench gate.
 func BenchmarkHotWireDecode(b *testing.B) {
 	for _, n := range []int{64, 2048} {
 		data := EncodeProfile(benchProfile(n))

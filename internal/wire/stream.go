@@ -358,8 +358,8 @@ func (s *stream) finish() error {
 // SHA-256 state. A server decoding one upload per request reuses one
 // Decoder per in-flight request instead of allocating the profile
 // afresh. The returned *Profile aliases those buffers: it is valid until
-// the decoder's next decode, and a caller that keeps it longer keeps a
-// Clone. The zero Decoder is ready to use.
+// the decoder's next decode, and a caller that keeps it longer must copy
+// it. The zero Decoder is ready to use.
 type Decoder struct {
 	p       Profile
 	loads   []Load

@@ -23,7 +23,6 @@
 package wire
 
 import (
-	"slices"
 	"sort"
 
 	"aptget/internal/analysis"
@@ -131,32 +130,6 @@ func (p *Profile) Canonicalize() {
 	sort.SliceStable(p.Samples, func(i, j int) bool {
 		return lessSample(&p.Samples[i], &p.Samples[j])
 	})
-}
-
-// Clone returns a deep copy of p that shares no memory with it: a
-// profile decoded by a reused Decoder must be cloned to outlive the
-// decoder's next use.
-func (p *Profile) Clone() *Profile {
-	c := *p
-	c.Loads = slices.Clone(p.Loads)
-	c.Loops = slices.Clone(p.Loops)
-	if p.Samples != nil {
-		n := 0
-		for _, sm := range p.Samples {
-			n += len(sm.Entries)
-		}
-		entries := make([]lbr.Entry, 0, n)
-		c.Samples = make([]lbr.Sample, len(p.Samples))
-		for i, sm := range p.Samples {
-			c.Samples[i].Cycle = sm.Cycle
-			if sm.Entries != nil {
-				start := len(entries)
-				entries = append(entries, sm.Entries...)
-				c.Samples[i].Entries = entries[start:len(entries):len(entries)]
-			}
-		}
-	}
-	return &c
 }
 
 // isCanonical reports whether Canonicalize would leave p byte-for-byte
