@@ -37,20 +37,20 @@ func All() map[string]Runner {
 
 func buildAll() map[string]Runner {
 	return map[string]Runner{
-		"table1":   wrap(Table1),
-		"fig1":     wrap(Fig1),
-		"fig2":     wrap(Fig2),
-		"fig4":     wrap(Fig4),
-		"fig5":     wrap(Fig5),
-		"fig6":     wrap(Fig6),
-		"fig7":     wrap(Fig7),
-		"fig8":     wrap(Fig8),
-		"fig9":     wrap(Fig9),
-		"fig10":    wrap(Fig10),
-		"fig11":    wrap(Fig11),
-		"fig12":    wrap(Fig12),
-		"datasets": wrap(Datasets),
-		"fig6x":    wrap(Fig6x),
+		"table1":    wrap(Table1),
+		"fig1":      wrap(Fig1),
+		"fig2":      wrap(Fig2),
+		"fig4":      wrap(Fig4),
+		"fig5":      wrap(Fig5),
+		"fig6":      wrap(Fig6),
+		"fig7":      wrap(Fig7),
+		"fig8":      wrap(Fig8),
+		"fig9":      wrap(Fig9),
+		"fig10":     wrap(Fig10),
+		"fig11":     wrap(Fig11),
+		"fig12":     wrap(Fig12),
+		"datasets":  wrap(Datasets),
+		"fig6x":     wrap(Fig6x),
 		"ablation":  wrap(Ablation),
 		"lbrwidth":  wrap(LBRWidth),
 		"replan":    wrap(Replan),

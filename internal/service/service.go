@@ -373,17 +373,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, MetricsResponse{Counters: s.Counters()})
 }
 
-// computePlans is the cache-miss path: rebuild the named workload (the
-// deterministic build the profile's PCs refer to) and run the paper's
-// analysis on the reconstructed profile. The analysis runs under an
-// "aptgetd/<app>" span, so a report (and the single-flight tests) can
-// count exactly how many analyses the daemon ran.
+// computePlans is the cache-miss path: build the named app's program
+// (the deterministic build the profile's PCs refer to) and run the
+// paper's analysis on the reconstructed profile. The analysis reads
+// only the program's structure and the profile, so the program comes
+// from Entry.Program's pinned scalars: no dataset is generated and no
+// native reference runs. The analysis runs under an "aptgetd/<app>"
+// span, so a report (and the single-flight tests) can count exactly
+// how many analyses the daemon ran.
 func (s *Server) computePlans(p *wire.Profile) ([]byte, error) {
 	e, ok := workloads.ByKey(p.App)
 	if !ok {
 		return nil, fmt.Errorf("service: unknown application %q", p.App)
 	}
-	prog, err := e.New().Build()
+	prog, err := e.Program()
 	if err != nil {
 		return nil, fmt.Errorf("service: rebuilding %s: %w", p.App, err)
 	}

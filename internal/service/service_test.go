@@ -91,9 +91,22 @@ func getMetrics(t *testing.T, ts *httptest.Server) MetricsResponse {
 // set the daemon serves for a profile is byte-identical to what the
 // in-process core.RunPipeline computes for the same workload. Builds and
 // the simulator are deterministic, so the two independently-collected
-// profiles (and hence the two analyses) agree exactly.
+// profiles (and hence the two analyses) agree exactly. The daemon builds
+// the program from Entry.Program, the pipeline from the generated
+// dataset: IS has no graph pins, DFS pins its graph's size, and BC
+// (most pins) also its source vertex and level count.
 func TestServedPlanMatchesPipeline(t *testing.T) {
-	const app = "IS"
+	for _, app := range []string{"IS", "DFS", "BC"} {
+		t.Run(app, func(t *testing.T) {
+			if testing.Short() && app != "IS" {
+				t.Skip("two pipeline runs per app; slow in -short mode")
+			}
+			servedMatchesPipeline(t, app)
+		})
+	}
+}
+
+func servedMatchesPipeline(t *testing.T, app string) {
 	cfg := core.DefaultConfig()
 	res, err := core.RunPipeline(mustEntry(t, app).New(), cfg)
 	if err != nil {

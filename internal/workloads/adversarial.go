@@ -110,7 +110,7 @@ func (w *LSMScan) Build() (*ir.Program, error) {
 func (w *LSMScan) AllocIn(b *ir.Builder) {
 	w.keys = b.Alloc("keys", w.Blocks*8, 8)
 	w.filter = b.Alloc("filter", w.filterSize(), 8)
-	w.out = b.Alloc("out", 3, 8)  // [0]=scan acc, [1]=probe acc, [2]=delay acc
+	w.out = b.Alloc("out", 3, 8)   // [0]=scan acc, [1]=probe acc, [2]=delay acc
 	w.meta = b.Alloc("meta", 1, 8) // [0]=probe cursor state
 }
 
@@ -340,7 +340,7 @@ func (v *Interleave) Verify(a *mem.Arena) error {
 // tests, while these kernels exist to stress the selection gate (the
 // aptbench -exp selection sweep and the selection-smoke CI job).
 func AdversarialRegistry() []Entry {
-	return []Entry{
+	return withPrograms([]Entry{
 		{
 			Key: "LSM", Description: "LSM/columnar scan: hot covered scan + cold filter probes",
 			New: func() core.Workload { return NewLSMScan(4096) },
@@ -359,5 +359,5 @@ func AdversarialRegistry() []Entry {
 				return NewInterleave("MTI", 4, micro, lsm, NewBTreeProbe(480))
 			},
 		},
-	}
+	})
 }

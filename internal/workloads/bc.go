@@ -19,12 +19,11 @@ const bcScale = int64(1) << 12
 // Arithmetic (including any sigma overflow on hub-heavy graphs) is
 // mirrored exactly by the native reference.
 type BC struct {
-	Label   string
-	G       *graphgen.Graph
-	Sources []int64
+	Label string
+	G     *graphgen.Graph
 
-	maxLevels []int64 // per source
-	wantBC    []int64
+	shape  graphShape // Sources and the native run's levels per source
+	wantBC []int64
 
 	ga                     graphArrays
 	dist, sigma, delta, bc ir.Array
@@ -33,8 +32,9 @@ type BC struct {
 
 // NewBC builds the workload and the native reference.
 func NewBC(label string, g *graphgen.Graph, sources []int64) *BC {
-	w := &BC{Label: label, G: g, Sources: sources}
-	w.wantBC, w.maxLevels = nativeBC(g, sources)
+	w := &BC{Label: label, G: g, shape: shapeOf(g)}
+	w.shape.Sources = sources
+	w.wantBC, w.shape.Levels = nativeBC(g, sources)
 	return w
 }
 
@@ -99,20 +99,20 @@ func (w *BC) Name() string { return w.Label }
 
 // Build implements core.Workload.
 func (w *BC) Build() (*ir.Program, error) {
-	g := w.G
+	s := w.shape
 	b := ir.NewBuilder(w.Label)
-	w.ga = allocGraph(b, g, false)
-	w.dist = b.Alloc("dist", g.N, 8)
-	w.sigma = b.Alloc("sigma", g.N, 8)
-	w.delta = b.Alloc("delta", g.N, 8)
-	w.bc = b.Alloc("bc", g.N, 8)
-	w.fr0 = b.Alloc("fr0", g.N, 8)
-	w.fr1 = b.Alloc("fr1", g.N, 8)
+	w.ga = allocGraph(b, s, false)
+	w.dist = b.Alloc("dist", s.N, 8)
+	w.sigma = b.Alloc("sigma", s.N, 8)
+	w.delta = b.Alloc("delta", s.N, 8)
+	w.bc = b.Alloc("bc", s.N, 8)
+	w.fr0 = b.Alloc("fr0", s.N, 8)
+	w.fr1 = b.Alloc("fr1", s.N, 8)
 	w.meta = b.Alloc("meta", 2, 8)
 
 	zero := b.Const(0)
 	one := b.Const(1)
-	n := b.Const(g.N)
+	n := b.Const(s.N)
 	scale := b.Const(bcScale)
 	negOne := b.Const(-1)
 
@@ -145,7 +145,7 @@ func (w *BC) Build() (*ir.Program, error) {
 
 	// One source = one unrolled stage (sources are few; unrolling keeps
 	// every loop canonical).
-	for si, src := range w.Sources {
+	for si, src := range s.Sources {
 		srcC := b.Const(src)
 		// Reset per-source state.
 		b.Loop(fmt.Sprintf("rst%d", si), zero, n, 1, func(u ir.Value) {
@@ -159,7 +159,7 @@ func (w *BC) Build() (*ir.Program, error) {
 		b.StoreElem(w.meta, zero, one)
 		b.StoreElem(w.meta, one, zero)
 
-		levels := w.maxLevels[si]
+		levels := s.Levels[si]
 		b.Loop(fmt.Sprintf("lvl%d", si), zero, b.Const(levels), 1, func(lvl ir.Value) {
 			par := b.And(lvl, one)
 			b.If(b.Cmp(ir.PredEQ, par, zero),

@@ -18,8 +18,8 @@ type BFS struct {
 	G      *graphgen.Graph
 	Source int64
 
-	maxLevels int64
-	wantDist  []int64
+	shape    graphShape // Levels: the native run's level count
+	wantDist []int64
 
 	ga             graphArrays
 	dist, fr0, fr1 ir.Array
@@ -29,8 +29,10 @@ type BFS struct {
 // NewBFS builds the workload; the level budget and reference distances
 // come from a native BFS run.
 func NewBFS(label string, g *graphgen.Graph, source int64) *BFS {
-	w := &BFS{Label: label, G: g, Source: source}
-	w.wantDist, w.maxLevels = nativeBFS(g, source)
+	w := &BFS{Label: label, G: g, Source: source, shape: shapeOf(g)}
+	var levels int64
+	w.wantDist, levels = nativeBFS(g, source)
+	w.shape.Levels = []int64{levels}
 	return w
 }
 
@@ -65,12 +67,12 @@ func (w *BFS) Name() string { return w.Label }
 
 // Build implements core.Workload.
 func (w *BFS) Build() (*ir.Program, error) {
-	g := w.G
+	s := w.shape
 	b := ir.NewBuilder(w.Label)
-	w.ga = allocGraph(b, g, false)
-	w.dist = b.Alloc("dist", g.N, 8)
-	w.fr0 = b.Alloc("fr0", g.N, 8)
-	w.fr1 = b.Alloc("fr1", g.N, 8)
+	w.ga = allocGraph(b, s, false)
+	w.dist = b.Alloc("dist", s.N, 8)
+	w.fr0 = b.Alloc("fr0", s.N, 8)
+	w.fr1 = b.Alloc("fr1", s.N, 8)
 	w.meta = b.Alloc("meta", 2, 8)
 
 	zero := b.Const(0)
@@ -96,7 +98,7 @@ func (w *BFS) Build() (*ir.Program, error) {
 		})
 	}
 
-	b.Loop("lvl", zero, b.Const(w.maxLevels), 1, func(lvl ir.Value) {
+	b.Loop("lvl", zero, b.Const(s.Levels[0]), 1, func(lvl ir.Value) {
 		par := b.And(lvl, one)
 		b.If(b.Cmp(ir.PredEQ, par, zero),
 			func() { sweep(lvl, w.fr0, 0, w.fr1, 1) },

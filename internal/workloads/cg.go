@@ -32,10 +32,16 @@ type CG struct {
 // NewCG builds the workload: a uniformly random sparse matrix with
 // PerRow nonzeros per row.
 func NewCG(n, perRow, iters int64) *CG {
-	w := &CG{Label: "CG", N: n, PerRow: perRow, Iters: iters, Seed: 47}
+	w := newCG(n, perRow, iters)
 	w.genMatrix()
 	w.wantX, w.wantQ = w.native()
 	return w
+}
+
+// newCG is NewCG without the matrix and the native reference: enough to
+// Build.
+func newCG(n, perRow, iters int64) *CG {
+	return &CG{Label: "CG", N: n, PerRow: perRow, Iters: iters, Seed: 47}
 }
 
 func (w *CG) genMatrix() {

@@ -18,6 +18,7 @@ type DFS struct {
 	G      *graphgen.Graph
 	Source int64
 
+	shape       graphShape
 	wantVisited []int64
 	wantOrder   []int64
 
@@ -27,7 +28,7 @@ type DFS struct {
 
 // NewDFS builds the workload and its native reference.
 func NewDFS(label string, g *graphgen.Graph, source int64) *DFS {
-	w := &DFS{Label: label, G: g, Source: source}
+	w := &DFS{Label: label, G: g, Source: source, shape: shapeOf(g)}
 	w.wantVisited, w.wantOrder = nativeDFS(g, source)
 	return w
 }
@@ -65,12 +66,12 @@ func (w *DFS) Name() string { return w.Label }
 
 // Build implements core.Workload.
 func (w *DFS) Build() (*ir.Program, error) {
-	g := w.G
+	s := w.shape
 	b := ir.NewBuilder(w.Label)
-	w.ga = allocGraph(b, g, false)
-	w.visited = b.Alloc("visited", g.N, 8)
-	w.stack = b.Alloc("stack", g.N, 8)
-	w.ord = b.Alloc("order", g.N, 8)
+	w.ga = allocGraph(b, s, false)
+	w.visited = b.Alloc("visited", s.N, 8)
+	w.stack = b.Alloc("stack", s.N, 8)
+	w.ord = b.Alloc("order", s.N, 8)
 	w.meta = b.Alloc("meta", 2, 8)
 
 	zero := b.Const(0)

@@ -37,12 +37,18 @@ type HashJoin struct {
 // NewHashJoin builds an HJ2/HJ8 instance. The hash table
 // (buckets×bucketSize keys + payloads) exceeds the LLC.
 func NewHashJoin(label string, buckets, bucketSize, buildN, probeN int64) *HashJoin {
-	w := &HashJoin{
+	w := newHashJoin(label, buckets, bucketSize, buildN, probeN)
+	w.wantMatches, w.wantPaySum = w.native()
+	return w
+}
+
+// newHashJoin is NewHashJoin without the native reference: enough to
+// Build.
+func newHashJoin(label string, buckets, bucketSize, buildN, probeN int64) *HashJoin {
+	return &HashJoin{
 		Label: label, Buckets: buckets, BucketSize: bucketSize,
 		BuildN: buildN, ProbeN: probeN, Seed: 53,
 	}
-	w.wantMatches, w.wantPaySum = w.native()
-	return w
 }
 
 func (w *HashJoin) data() (rkeys, skeys []int64) {

@@ -28,9 +28,14 @@ type IS struct {
 // NewIS builds the workload (Class-scaled: the count array exceeds the
 // LLC).
 func NewIS(keys, buckets, iters int64) *IS {
-	w := &IS{Label: "IS", Keys: keys, Buckets: buckets, Iters: iters, Seed: 31}
+	w := newIS(keys, buckets, iters)
 	w.wantRank = w.nativeRank()
 	return w
+}
+
+// newIS is NewIS without the native reference: enough to Build.
+func newIS(keys, buckets, iters int64) *IS {
+	return &IS{Label: "IS", Keys: keys, Buckets: buckets, Iters: iters, Seed: 31}
 }
 
 func (w *IS) keyData() []int64 {

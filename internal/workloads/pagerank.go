@@ -24,6 +24,7 @@ type PageRank struct {
 	G     *graphgen.Graph
 	Iters int64
 
+	shape    graphShape
 	wantRank []int64
 
 	ga           graphArrays
@@ -33,7 +34,7 @@ type PageRank struct {
 
 // NewPageRank builds the workload and the native reference ranks.
 func NewPageRank(label string, g *graphgen.Graph, iters int64) *PageRank {
-	w := &PageRank{Label: label, G: g, Iters: iters}
+	w := &PageRank{Label: label, G: g, Iters: iters, shape: shapeOf(g)}
 	w.wantRank = nativePageRank(g, iters)
 	return w
 }
@@ -71,16 +72,16 @@ func (w *PageRank) Name() string { return w.Label }
 
 // Build implements core.Workload.
 func (w *PageRank) Build() (*ir.Program, error) {
-	g := w.G
+	s := w.shape
 	b := ir.NewBuilder(w.Label)
-	w.ga = allocGraph(b, g, false)
-	w.rank0 = b.Alloc("rank0", g.N, 8)
-	w.rank1 = b.Alloc("rank1", g.N, 8)
-	w.contrib = b.Alloc("contrib", g.N, 8)
+	w.ga = allocGraph(b, s, false)
+	w.rank0 = b.Alloc("rank0", s.N, 8)
+	w.rank1 = b.Alloc("rank1", s.N, 8)
+	w.contrib = b.Alloc("contrib", s.N, 8)
 
 	zero := b.Const(0)
 	one := b.Const(1)
-	n := b.Const(g.N)
+	n := b.Const(s.N)
 	base := b.Const(int64(prScale) * (1024 - prDampNum) >> prDampShift)
 	damp := b.Const(prDampNum)
 	shift := b.Const(prDampShift)

@@ -190,7 +190,7 @@ func (p *Phased) Verify(a *mem.Arena) error {
 // Registry so the paper's Table 3 sweeps are unchanged; ByKey resolves
 // both.
 func PhasedRegistry() []Entry {
-	return []Entry{
+	return withPrograms([]Entry{
 		{
 			Key: "phaseSG", Description: "alternating stride↔gather indirect phases", Dataset: "",
 			New: func() core.Workload { return NewPhaseSG("phaseSG", 4, 12_288) },
@@ -203,5 +203,5 @@ func PhasedRegistry() []Entry {
 			Key: "phaseFlat", Description: "stationary random gather (re-planning control)", Dataset: "",
 			New: func() core.Workload { return NewPhaseFlat("phaseFlat", 49_152) },
 		},
-	}
+	})
 }

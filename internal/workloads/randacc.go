@@ -27,9 +27,15 @@ type RandAcc struct {
 // NewRandAcc builds the workload; the table (2^lg × 8 bytes) must exceed
 // the LLC.
 func NewRandAcc(tableLg, updates int64) *RandAcc {
-	w := &RandAcc{Label: "randAcc", TableLg: tableLg, Updates: updates, Seed: 0x2545F4914F6CDD1D}
+	w := newRandAcc(tableLg, updates)
 	w.wantChecksum = w.native()
 	return w
+}
+
+// newRandAcc is NewRandAcc without the native reference: enough to
+// Build.
+func newRandAcc(tableLg, updates int64) *RandAcc {
+	return &RandAcc{Label: "randAcc", TableLg: tableLg, Updates: updates, Seed: 0x2545F4914F6CDD1D}
 }
 
 // step is the xorshift64 recurrence, masked to the table size, shared

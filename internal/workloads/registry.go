@@ -5,6 +5,7 @@ import (
 
 	"aptget/internal/core"
 	"aptget/internal/graphgen"
+	"aptget/internal/ir"
 )
 
 // Entry describes one benchmark of the paper's Table 3.
@@ -12,7 +13,17 @@ type Entry struct {
 	Key         string // figure x-axis key
 	Description string // Table 3 description
 	Dataset     string // dataset label (graph workloads)
-	New         func() core.Workload
+
+	// New generates the workload's dataset and runs its native
+	// reference: what every path that executes the program needs.
+	New func() core.Workload
+
+	// Program builds the program New().Build() builds, PCs and array
+	// layout alike, without generating the dataset: the graph
+	// workloads read their shape from the pins (pins.go), the others
+	// are constructed without their native reference. Turning a
+	// received profile into plans needs only this program.
+	Program func() (*ir.Program, error)
 }
 
 // Registry returns the paper's application list (Table 3): the five
@@ -29,6 +40,9 @@ func Registry() []Entry {
 				g := mustDataset("WG")
 				return NewBFS("BFS", g, TopDegreeVertices(g, 1)[0])
 			},
+			Program: func() (*ir.Program, error) {
+				return (&BFS{Label: "BFS", shape: graphPins["BFS"]}).Build()
+			},
 		},
 		{
 			Key: "DFS", Description: "depth-first traversal (CRONO)", Dataset: "P2P",
@@ -36,11 +50,17 @@ func Registry() []Entry {
 				g := mustDataset("P2P")
 				return NewDFS("DFS", g, TopDegreeVertices(g, 1)[0])
 			},
+			Program: func() (*ir.Program, error) {
+				return (&DFS{Label: "DFS", shape: graphPins["DFS"]}).Build()
+			},
 		},
 		{
 			Key: "PR", Description: "PageRank (CRONO)", Dataset: "WN",
 			New: func() core.Workload {
 				return NewPageRank("PR", mustDataset("WN"), 2)
+			},
+			Program: func() (*ir.Program, error) {
+				return (&PageRank{Label: "PR", Iters: 2, shape: graphPins["PR"]}).Build()
 			},
 		},
 		{
@@ -49,6 +69,9 @@ func Registry() []Entry {
 				g := mustDataset("LBE")
 				return NewBC("BC", g, TopDegreeVertices(g, 1))
 			},
+			Program: func() (*ir.Program, error) {
+				return (&BC{Label: "BC", shape: graphPins["BC"]}).Build()
+			},
 		},
 		{
 			Key: "SSSP", Description: "single-source shortest paths (CRONO)", Dataset: "P2P-s",
@@ -56,11 +79,17 @@ func Registry() []Entry {
 				g := graphgen.Uniform("P2P-s", 32_000, 2, 1102)
 				return NewSSSP("SSSP", g, TopDegreeVertices(g, 1)[0])
 			},
+			Program: func() (*ir.Program, error) {
+				return (&SSSP{Label: "SSSP", shape: graphPins["SSSP"]}).Build()
+			},
 		},
 		{
 			Key: "IS", Description: "integer (bucket) sort (NAS)", Dataset: "",
 			New: func() core.Workload {
 				return NewIS(200_000, 1<<17, 2)
+			},
+			Program: func() (*ir.Program, error) {
+				return newIS(200_000, 1<<17, 2).Build()
 			},
 		},
 		{
@@ -68,11 +97,17 @@ func Registry() []Entry {
 			New: func() core.Workload {
 				return NewCG(48_000, 8, 2)
 			},
+			Program: func() (*ir.Program, error) {
+				return newCG(48_000, 8, 2).Build()
+			},
 		},
 		{
 			Key: "randAcc", Description: "RandomAccess / GUPS (HPCC)", Dataset: "",
 			New: func() core.Workload {
 				return NewRandAcc(20, 300_000)
+			},
+			Program: func() (*ir.Program, error) {
+				return newRandAcc(20, 300_000).Build()
 			},
 		},
 		{
@@ -80,11 +115,17 @@ func Registry() []Entry {
 			New: func() core.Workload {
 				return NewHashJoin("HJ2", 1<<18, 2, 200_000, 300_000)
 			},
+			Program: func() (*ir.Program, error) {
+				return newHashJoin("HJ2", 1<<18, 2, 200_000, 300_000).Build()
+			},
 		},
 		{
 			Key: "HJ8", Description: "NPO hash join, 8 elems/bucket", Dataset: "",
 			New: func() core.Workload {
 				return NewHashJoin("HJ8", 1<<16, 8, 200_000, 150_000)
+			},
+			Program: func() (*ir.Program, error) {
+				return newHashJoin("HJ8", 1<<16, 8, 200_000, 150_000).Build()
 			},
 		},
 		{
@@ -92,6 +133,9 @@ func Registry() []Entry {
 			New: func() core.Workload {
 				g := mustDataset("KRON")
 				return NewBFS("G500", g, TopDegreeVertices(g, 1)[0])
+			},
+			Program: func() (*ir.Program, error) {
+				return (&BFS{Label: "G500", shape: graphPins["G500"]}).Build()
 			},
 		},
 	}
@@ -143,4 +187,17 @@ func mustDataset(name string) *graphgen.Graph {
 		panic(fmt.Sprintf("workloads: unknown dataset %s", name))
 	}
 	return d.Make()
+}
+
+// withPrograms sets each entry's Program to New().Build(). It serves the
+// corpora whose constructors generate no data and run no reference
+// (InitMem writes their arrays from closed forms, Verify recomputes the
+// result), so the workload itself is already the cheap way to the
+// program.
+func withPrograms(es []Entry) []Entry {
+	for i := range es {
+		mk := es[i].New
+		es[i].Program = func() (*ir.Program, error) { return mk().Build() }
+	}
+	return es
 }

@@ -19,7 +19,7 @@ type SSSP struct {
 	G      *graphgen.Graph
 	Source int64
 
-	rounds   int64
+	shape    graphShape // Rounds: the native run's round budget
 	wantDist []int64
 
 	ga         graphArrays
@@ -30,8 +30,8 @@ type SSSP struct {
 // round budget comes from the native run (rounds to convergence + 1 idle
 // round).
 func NewSSSP(label string, g *graphgen.Graph, source int64) *SSSP {
-	w := &SSSP{Label: label, G: g.Weighted(), Source: source}
-	w.wantDist, w.rounds = nativeSSSP(g, source)
+	w := &SSSP{Label: label, G: g.Weighted(), Source: source, shape: shapeOf(g)}
+	w.wantDist, w.shape.Rounds = nativeSSSP(g, source)
 	return w
 }
 
@@ -66,18 +66,18 @@ func (w *SSSP) Name() string { return w.Label }
 
 // Build implements core.Workload.
 func (w *SSSP) Build() (*ir.Program, error) {
-	g := w.G
+	s := w.shape
 	b := ir.NewBuilder(w.Label)
-	w.ga = allocGraph(b, g, true)
-	w.dist = b.Alloc("dist", g.N, 8)
+	w.ga = allocGraph(b, s, true)
+	w.dist = b.Alloc("dist", s.N, 8)
 	w.meta = b.Alloc("meta", 1, 8)
 
 	zero := b.Const(0)
 	one := b.Const(1)
 	inf := b.Const(ssspInf)
-	n := b.Const(g.N)
+	n := b.Const(s.N)
 
-	b.Loop("round", zero, b.Const(w.rounds), 1, func(r ir.Value) {
+	b.Loop("round", zero, b.Const(s.Rounds), 1, func(r ir.Value) {
 		chg := b.LoadElem(w.meta, zero)
 		b.If(b.Cmp(ir.PredEQ, chg, one), func() {
 			b.StoreElem(w.meta, zero, zero)

@@ -20,6 +20,21 @@ import (
 	"aptget/internal/mem"
 )
 
+// graphShape is everything a graph workload's Build reads of its
+// dataset and its native run: sizes, loop trip counts and IR constants,
+// never the edges themselves. The constructors fill it from the
+// generated graph; Entry.Program fills it from the pins (pins.go), so
+// the miss path builds the program without generating the dataset.
+type graphShape struct {
+	N, M    int64   // vertices and edges
+	Levels  []int64 // BFS: the level count; BC: one per source
+	Rounds  int64   // SSSP: relaxation rounds, convergence included
+	Sources []int64 // BC: the source vertices, emitted as constants
+}
+
+// shapeOf reads the dataset scalars of g.
+func shapeOf(g *graphgen.Graph) graphShape { return graphShape{N: g.N, M: g.M()} }
+
 // graphArrays holds the CSR arrays of a graph workload.
 type graphArrays struct {
 	rowptr, col ir.Array
@@ -27,13 +42,13 @@ type graphArrays struct {
 }
 
 // allocGraph reserves the CSR arrays in the program arena.
-func allocGraph(b *ir.Builder, g *graphgen.Graph, withWeights bool) graphArrays {
+func allocGraph(b *ir.Builder, s graphShape, withWeights bool) graphArrays {
 	ga := graphArrays{
-		rowptr: b.Alloc("rowptr", g.N+1, 8),
-		col:    b.Alloc("col", g.M(), 8),
+		rowptr: b.Alloc("rowptr", s.N+1, 8),
+		col:    b.Alloc("col", s.M, 8),
 	}
 	if withWeights {
-		ga.weight = b.Alloc("weight", g.M(), 8)
+		ga.weight = b.Alloc("weight", s.M, 8)
 	}
 	return ga
 }
