@@ -65,17 +65,18 @@ func (b *Local) Counters() map[string]int64 {
 	}
 }
 
-// Lookup finds plans by exact profile fingerprint.
-func (b *Local) Lookup(fp wire.Fingerprint) (Entry, bool) {
+// Lookup finds plans by exact profile fingerprint, with the key they
+// are stored under.
+func (b *Local) Lookup(fp wire.Fingerprint) (Entry, Key, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	el, ok := b.byFP[fp]
 	if !ok {
-		return Entry{}, false
+		return Entry{}, Key{}, false
 	}
 	b.ll.MoveToFront(el)
 	e := el.Value.(*entry)
-	return Entry{Plans: e.plans, Source: e.source}, true
+	return Entry{Plans: e.plans, Source: e.source}, e.key, true
 }
 
 // LookupKey finds plans by exact key.

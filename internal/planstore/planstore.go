@@ -110,7 +110,26 @@ func (s *Store) Counters() map[string]int64 {
 
 // Get looks up plans by exact profile fingerprint (the GET /v1/plans
 // path). Does not count hits or misses; ingestion owns that accounting.
-func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) { return s.lru.Lookup(fp) }
+func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
+	e, _, ok := s.lru.Lookup(fp)
+	return e, ok
+}
+
+// Hit serves an exact repeat by fingerprint alone, before the profile is
+// decoded: it returns the entry and the key it is stored under, and
+// counts a hit as GetOrCompute's exact-hit step does. An entry stored
+// without a shape is not served, since the ingest reply needs the
+// shape hash; the caller then decodes and calls GetOrCompute.
+func (s *Store) Hit(fp wire.Fingerprint) (Entry, Key, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, key, ok := s.lru.Lookup(fp)
+	if !ok || key.Shape == "" {
+		return Entry{}, Key{}, false
+	}
+	s.hits.Add(1)
+	return e, key, true
+}
 
 // Put stores externally computed plans under key, counting nothing.
 // Its caller is perfbench's traced serve replay

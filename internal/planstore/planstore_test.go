@@ -91,6 +91,39 @@ func TestStaleMatchServesPriorPlansWithoutRecompute(t *testing.T) {
 	}
 }
 
+// TestHitByFingerprint: Hit answers from the fingerprint alone with the
+// stored key, keeps a stale alias's source, counts exactly the hits it
+// serves, and passes over an entry stored without a shape.
+func TestHitByFingerprint(t *testing.T) {
+	s := New(4)
+	orig, drifted := key(1, "shape-A"), key(2, "shape-A")
+	mustCompute(t, s, orig, 1)
+	mustCompute(t, s, drifted, 2) // stale match, aliased under drifted
+	shapeless := key(3, "")
+	s.Put(shapeless, Entry{Plans: plans(3), Source: shapeless.Profile})
+
+	for _, c := range []struct {
+		k   Key
+		src wire.Fingerprint
+	}{{orig, orig.Profile}, {drifted, orig.Profile}} {
+		e, k, ok := s.Hit(c.k.Profile)
+		if !ok || k != c.k || e.Source != c.src || !bytes.Equal(e.Plans, plans(1)) {
+			t.Fatalf("Hit(%s) = %q src %s key %+v ok %v; want plans-001 from %s under %+v",
+				c.k.Profile, e.Plans, e.Source, k, ok, c.src, c.k)
+		}
+	}
+	if _, _, ok := s.Hit(shapeless.Profile); ok {
+		t.Fatal("Hit served an entry stored without a shape")
+	}
+	if _, _, ok := s.Hit(key(4, "shape-A").Profile); ok {
+		t.Fatal("Hit served an unknown fingerprint")
+	}
+	c := s.Counters()
+	if c["plan_cache_hits"] != 2 || c["plan_cache_misses"] != 1 || c["plan_cache_stale_matches"] != 1 {
+		t.Fatalf("counters = %v, want 2 hits, 1 miss, 1 stale match", c)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	s := New(2)
 	a, b, c := key(1, "sA"), key(2, "sB"), key(3, "sC")
@@ -265,7 +298,7 @@ func TestPutRefreshesExistingEntry(t *testing.T) {
 	// for a fingerprint already cached.
 	b.Put(kA, Entry{Plans: plans(3), Source: kA.Profile})
 
-	got, ok := b.Lookup(kA.Profile)
+	got, _, ok := b.Lookup(kA.Profile)
 	if !ok || !bytes.Equal(got.Plans, plans(3)) {
 		t.Fatalf("Lookup(fpA) = %q/%v, want refreshed plans-003 (pre-fix bug: stale bytes)", got.Plans, ok)
 	}

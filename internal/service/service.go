@@ -122,10 +122,9 @@ type Server struct {
 	sem     chan struct{}
 	handler http.Handler
 
-	// decoders holds *wire.Decoder: an ingest decodes the upload into a
-	// pooled decoder's buffers and returns it when the handler ends, so
-	// the warm-hit path allocates nothing that grows with the profile.
-	decoders sync.Pool
+	// compute is the cache-miss analysis: computePlans, or a stand-in a
+	// test installs to hold a flight open.
+	compute func(*wire.Profile) ([]byte, error)
 
 	rejected atomic.Int64
 	oversize atomic.Int64
@@ -165,7 +164,7 @@ func New(cfg Config) *Server {
 		store: planstore.New(cfg.CacheCapacity),
 		sem:   make(chan struct{}, cfg.MaxInflight),
 	}
-	s.decoders.New = func() any { return new(wire.Decoder) }
+	s.compute = s.computePlans
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handleIngest)
@@ -255,6 +254,23 @@ func (s *Server) reject(w http.ResponseWriter) {
 		errorResponse{Error: "server at capacity"})
 }
 
+// Ingest buffers: an ingest reads the upload into a pooled body and,
+// when its hash finds no cached plans, decodes it into a pooled
+// decoder's buffers, returning both when the handler ends, so the
+// warm-hit path allocates nothing that grows with the profile. The
+// pools are shared by every Server in the process, so a process that
+// starts many servers keeps one set of buffers, not one per server.
+var (
+	bodies   = sync.Pool{New: func() any { return new(wire.Body) }}
+	decoders = sync.Pool{New: func() any { return new(wire.Decoder) }}
+)
+
+// maxPooledBody is the largest body buffer an ingest returns to the
+// pool. A profile window is 100–250 KB; a buffer a rare larger upload
+// (accepted or not) grew past this is left to the collector rather than
+// kept alive by the pool.
+const maxPooledBody = 1 << 20
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire() {
 		s.reject(w)
@@ -273,20 +289,46 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Stream-decode the frame: the body is hashed and validated as it
-	// arrives, so a malformed or non-canonical upload fails without ever
-	// being buffered whole. prof aliases the pooled decoder's buffers and
-	// must not outlive this handler.
-	dec := s.decoders.Get().(*wire.Decoder)
-	defer s.decoders.Put(dec)
-	prof, fp, err := dec.DecodeProfileFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// Read the whole body into a pooled buffer, hashing it as it
+	// arrives. A malformed upload is buffered (up to MaxBodyBytes)
+	// before the decoder rejects it, so ingest memory is bounded by
+	// MaxInflight × MaxBodyBytes.
+	body := bodies.Get().(*wire.Body)
+	defer func() {
+		if cap(body.Bytes) <= maxPooledBody {
+			bodies.Put(body)
+		}
+	}()
+	fp, err := body.Fill(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
+			s.oversize.Add(1)
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, status, errorResponse{Error: err.Error()})
+		return
+	}
+
+	// An exact repeat is answered from its hash, without decoding. Store
+	// keys come only from frames the decoder accepted, Validate passed
+	// and the registry knows, and the decoder accepts canonical frames
+	// only, so a body whose hash is a stored fingerprint is that frame
+	// (barring a 128-bit collision, which would already serve wrong
+	// plans through GetOrCompute).
+	if e, key, ok := s.store.Hit(fp); ok {
+		writeIngest(w, key, e.Plans, planstore.Result{Outcome: planstore.OutcomeHit, Source: e.Source})
+		return
+	}
+
+	// Everything else decodes the buffered frame. prof aliases the pooled
+	// decoder's buffers and must not outlive this handler.
+	dec := decoders.Get().(*wire.Decoder)
+	defer decoders.Put(dec)
+	prof, err := dec.DecodeProfile(body.Bytes)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	if err := prof.Validate(); err != nil {
@@ -299,15 +341,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The decoder enforces canonical frames and hashed the body as it
-	// streamed past, so fp IS the canonical content address.
+	// The decoder accepted the frame, so it is canonical and fp is its
+	// content address.
 	key := planstore.Key{
 		Profile: fp,
 		Shape:   prof.ShapeHash(),
 	}
 
 	plans, res, err := s.store.GetOrCompute(key, func() ([]byte, error) {
-		return s.computePlans(prof)
+		return s.compute(prof)
 	})
 	if err != nil {
 		status := http.StatusUnprocessableEntity
@@ -317,15 +359,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
+	writeIngest(w, key, plans, res)
+}
 
+// writeIngest writes the POST /v1/profiles reply for plans served under
+// key. The app and plan count come from the plan-set header, so a hit
+// answered before decoding replies exactly as a decoded request would.
+func writeIngest(w http.ResponseWriter, key planstore.Key, plans []byte, res planstore.Result) {
+	app, n, err := wire.PlanSetHeader(plans)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError,
+			errorResponse{Error: fmt.Sprintf("cached plan set for %s: %v", key.Profile, err)})
+		return
+	}
 	resp := IngestResponse{
-		App:         prof.App,
+		App:         app,
 		Fingerprint: string(key.Profile),
 		ShapeHash:   string(key.Shape),
+		Plans:       n,
 		Outcome:     res.Outcome.String(),
-	}
-	if n, err := wire.PlanCount(plans); err == nil {
-		resp.Plans = n
 	}
 	status := http.StatusOK
 	if res.Outcome == planstore.OutcomeMiss {

@@ -10,9 +10,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -471,7 +473,9 @@ func TestErrorPaths(t *testing.T) {
 }
 
 // TestMetricsReportOversize: with the obs registry off (the daemon
-// default), /v1/metrics reports oversize rejections.
+// default), /v1/metrics reports oversize rejections, both those refused
+// on their declared length and those of a chunked body that declares no
+// length and is cut off at the limit.
 func TestMetricsReportOversize(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("obs registry must be off for this test")
@@ -485,9 +489,213 @@ func TestMetricsReportOversize(t *testing.T) {
 			t.Fatalf("oversize POST = %d, want 413", st)
 		}
 	}
+	if st := postChunked(t, ts, big); st != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize chunked POST = %d, want 413", st)
+	}
 	m := getMetrics(t, ts)
-	if got, ok := m.Counters["requests_rejected_oversize"]; !ok || got != 2 {
-		t.Errorf("counters[requests_rejected_oversize] = %d (present %v), want 2", got, ok)
+	if got, ok := m.Counters["requests_rejected_oversize"]; !ok || got != 3 {
+		t.Errorf("counters[requests_rejected_oversize] = %d (present %v), want 3", got, ok)
+	}
+}
+
+// postChunked POSTs body with no declared length (ContentLength -1), so
+// the client sends it chunked, and returns the status.
+func postChunked(t *testing.T, ts *httptest.Server, body []byte) int {
+	t.Helper()
+	// A reader the transport cannot size.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/profiles",
+		io.MultiReader(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = -1
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestHashHitKeepsOutcomes: answering an exact repeat from its hash
+// changes no reply, status or counter. A repeat gets the reply the
+// decode path gives a hit (outcome hit, status 200, the stale-matched
+// window keeping its source and losing its stale flag); on a warm cache
+// a re-encoding, a truncation or an extension of a cached body is still
+// rejected without counting a hit, and an oversize body is still 413.
+func TestHashHitKeepsOutcomes(t *testing.T) {
+	wp, body := mustCollect(t, "IS")
+	drift := wire.EncodeProfile(driftPCs(wp, 4096))
+	const limit = 1 << 20
+	if len(body) > limit/2 || len(drift) > limit/2 {
+		t.Fatalf("profiles of %d and %d bytes leave no room under the %d-byte limit", len(body), len(drift), limit)
+	}
+	ts := httptest.NewServer(New(Config{MaxBodyBytes: limit}).Handler())
+	defer ts.Close()
+
+	st, first := postProfile(t, ts, body)
+	if st != http.StatusCreated || first.Outcome != "miss" {
+		t.Fatalf("first ingest = %d %+v, want 201 miss", st, first)
+	}
+	st, stale := postProfile(t, ts, drift)
+	if st != http.StatusOK || stale.Outcome != "stale_match" {
+		t.Fatalf("drifted ingest = %d %+v, want 200 stale_match", st, stale)
+	}
+
+	wantFirst, wantStale := first, stale
+	wantFirst.Outcome = "hit"
+	wantStale.Outcome, wantStale.StaleMatched = "hit", false
+	for _, c := range []struct {
+		name string
+		body []byte
+		want IngestResponse
+	}{
+		{"exact repeat", body, wantFirst},
+		{"repeat of a stale-matched window", drift, wantStale},
+	} {
+		st, got := postProfile(t, ts, c.body)
+		if st != http.StatusOK || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s = %d %+v, want 200 %+v", c.name, st, got, c.want)
+		}
+	}
+
+	// The version varint padded: 0x02 becomes 0x82 0x00, the same value.
+	padded := append(append(append([]byte(nil), body[:4]...), 0x80|wire.Version, 0x00), body[5:]...)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"padded varint", padded},
+		{"truncated", body[:len(body)-1]},
+		{"trailing byte", append(append([]byte(nil), body...), 0)},
+	} {
+		if st, _ := postProfile(t, ts, c.body); st != http.StatusBadRequest {
+			t.Errorf("%s copy of a cached body = %d, want 400", c.name, st)
+		}
+	}
+	if st := postChunked(t, ts, make([]byte, limit+1)); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body = %d, want 413", st)
+	}
+
+	c := getMetrics(t, ts).Counters
+	if c["plan_cache_hits"] != 2 || c["plan_cache_misses"] != 1 || c["plan_cache_stale_matches"] != 1 ||
+		c["requests_rejected_oversize"] != 1 {
+		t.Fatalf("counters = %v, want 2 hits, 1 miss, 1 stale match, 1 oversize", c)
+	}
+}
+
+// TestRepeatDuringFlightWaits: an exact repeat that arrives while its
+// first ingest is still analysing finds nothing stored under its hash,
+// so it decodes, waits on the flight, and is served as a hit; the
+// analysis runs once.
+func TestRepeatDuringFlightWaits(t *testing.T) {
+	_, body := mustCollect(t, "IS")
+	srv := New(Config{})
+	var analyses atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	compute := srv.compute
+	srv.compute = func(p *wire.Profile) ([]byte, error) {
+		if analyses.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return compute(p)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	type reply struct {
+		status int
+		ing    IngestResponse
+		err    error
+	}
+	post := func(out chan<- reply) {
+		resp, err := http.Post(ts.URL+"/v1/profiles", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var r reply
+		r.status = resp.StatusCode
+		r.err = json.NewDecoder(resp.Body).Decode(&r.ing)
+		out <- r
+	}
+	first, second := make(chan reply, 1), make(chan reply, 1)
+	go post(first)
+	<-started
+	go post(second)
+	// The repeat counts its hit when it joins the flight, before it
+	// waits on it.
+	for deadline := time.Now().Add(10 * time.Second); srv.Counters()["plan_cache_hits"] == 0; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the repeat never joined the in-flight analysis")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	a, b := <-first, <-second
+	if a.err != nil || b.err != nil {
+		t.Fatalf("posts failed: %v, %v", a.err, b.err)
+	}
+	if a.status != http.StatusCreated || a.ing.Outcome != "miss" {
+		t.Fatalf("first ingest = %d %+v, want 201 miss", a.status, a.ing)
+	}
+	want := a.ing
+	want.Outcome = "hit"
+	if b.status != http.StatusOK || !reflect.DeepEqual(b.ing, want) {
+		t.Fatalf("repeat during the flight = %d %+v, want 200 %+v", b.status, b.ing, want)
+	}
+	if n := analyses.Load(); n != 1 {
+		t.Fatalf("%d analyses, want 1", n)
+	}
+}
+
+// TestBodyPoolDropsLargeBuffers: a 4 MiB upload, read whole (then
+// rejected by the decoder) or cut off at the body limit, leaves no
+// buffer of its size in the body pool. A pooled buffer would survive
+// the first collection in the pool's victim cache, so it would show in
+// the heap retained after one GC.
+func TestBodyPoolDropsLargeBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const big = 4 << 20
+	garbage := bytes.Repeat([]byte("x"), big)
+	h := New(Config{MaxBodyBytes: big - 1024}).Handler()
+	post := func(body []byte, declared int64, want int) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/profiles", io.MultiReader(bytes.NewReader(body)))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("POST of %d bytes = %d, want %d: %s", len(body), rec.Code, want, rec.Body)
+		}
+	}
+	retained := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	for _, c := range []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int
+	}{
+		{"read whole", garbage[:big-2048], big - 2048, http.StatusBadRequest},
+		{"cut off at the limit", garbage, -1, http.StatusRequestEntityTooLarge},
+	} {
+		post([]byte("warm"), -1, http.StatusBadRequest)
+		before := retained()
+		post(c.body, c.declared, c.want)
+		if grew := retained() - before; grew > 1<<20 {
+			t.Errorf("%s: heap retained %d more bytes after the upload", c.name, grew)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"io"
+	"slices"
 )
 
 // Fingerprint is the content address of a profile: a stable hash over
@@ -39,6 +42,63 @@ func FingerprintOf(p *Profile) Fingerprint {
 // logical profile twice.
 func FingerprintBytes(canonical []byte) Fingerprint {
 	return Fingerprint(digest(canonical))
+}
+
+// Body reads an upload whole into a buffer it keeps between calls and
+// hashes the bytes as they arrive, so the upload's fingerprint costs no
+// second pass over it. A server keeps one Body per in-flight request.
+// The zero Body is ready to use.
+type Body struct {
+	// Bytes is what the last Fill read. It is overwritten by the next.
+	Bytes  []byte
+	sum    hash.Hash
+	digest [sha256.Size]byte
+}
+
+// Body growth: a declared length sizes the buffer up front, but never
+// by more than maxPresize ahead of the bytes that actually arrive, so a
+// sender cannot make Fill allocate by declaring a length it does not
+// send. Past that the buffer grows by at least minGrow at a time.
+const (
+	maxPresize = 1 << 20
+	minGrow    = 16 << 10
+)
+
+// Fill reads r to EOF into b.Bytes and returns FingerprintBytes of what
+// it read. size is the length the sender declared, or ≤ 0 when unknown.
+// The fingerprint is the content address only if the bytes are a
+// canonical frame, which Fill does not check: decode them to find out.
+// On a read error b.Bytes holds what arrived before it.
+func (b *Body) Fill(r io.Reader, size int64) (Fingerprint, error) {
+	if b.sum == nil {
+		b.sum = sha256.New()
+	}
+	b.sum.Reset()
+	buf := b.Bytes[:0]
+	if size > 0 {
+		// One byte past the declared length leaves room for a read that
+		// returns only EOF, so an exact-size body is not regrown.
+		buf = slices.Grow(buf, int(min(size, maxPresize))+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, minGrow)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		b.sum.Write(buf[len(buf) : len(buf)+n])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Bytes = buf
+			return "", fmt.Errorf("wire: reading frame: %w", err)
+		}
+	}
+	b.Bytes = buf
+	var fp [2 * fpBytes]byte
+	hex.Encode(fp[:], b.sum.Sum(b.digest[:0])[:fpBytes])
+	return Fingerprint(fp[:]), nil
 }
 
 // ShapeHashOf hashes the app name and the PC-free loop shapes.

@@ -1,8 +1,7 @@
-// Streaming frame decoding. DecodeProfile and DecodePlanSet used to
+// Incremental frame decoding. DecodeProfile and DecodePlanSet used to
 // prove canonicality by re-encoding the decoded value and comparing
-// bytes — correct, but it doubles the work and forces the caller to
-// buffer the whole frame first. This file replaces that with a single
-// incremental pass that enforces the same acceptance set directly:
+// bytes — correct, but it doubles the work. This file replaces that
+// with a single pass that enforces the same acceptance set directly:
 //
 //   - every uvarint/zigzag varint is minimally encoded (n bytes are
 //     minimal iff n == 1 or the value needs the n-th byte),
@@ -16,9 +15,11 @@
 //
 // Together these imply encode(decode(b)) == b for every accepted b —
 // the property the wire fuzz targets assert — without materializing a
-// second copy. The same pass works over an io.Reader, so the service
-// can hash and decode an upload as the body arrives instead of
-// io.ReadAll-ing up to the body limit first (DecodeProfileFrom).
+// second copy. The same pass runs over a frame in memory (the service
+// reads an upload into a buffer, hashing it as it arrives, and decodes
+// only when the hash finds no cached plans: (*Decoder).DecodeProfile)
+// or over an io.Reader, hashing every byte it consumes
+// (DecodeProfileFrom).
 package wire
 
 import (
@@ -354,12 +355,12 @@ func (s *stream) finish() error {
 }
 
 // Decoder decodes profile frames into buffers it keeps between calls:
-// the load, sample, LBR-entry and loop backings, the read window and the
-// SHA-256 state. A server decoding one upload per request reuses one
-// Decoder per in-flight request instead of allocating the profile
-// afresh. The returned *Profile aliases those buffers: it is valid until
-// the decoder's next decode, and a caller that keeps it longer must copy
-// it. The zero Decoder is ready to use.
+// the load, sample, LBR-entry and loop backings. A server decoding one
+// upload per request reuses one Decoder per in-flight request instead of
+// allocating the profile afresh. The returned *Profile aliases those
+// buffers (never the frame): it is valid until the decoder's next
+// decode, and a caller that keeps it longer must copy it. The zero
+// Decoder is ready to use.
 type Decoder struct {
 	p       Profile
 	loads   []Load
@@ -369,28 +370,17 @@ type Decoder struct {
 	// entryHint is the most LBR entries one decode has held; the next
 	// decode reserves that many in entries.
 	entryHint int
-	window    []byte
-	sum       hash.Hash
-	digest    [sha256.Size]byte
 }
 
-// DecodeProfileFrom is the package-level DecodeProfileFrom decoding into
-// d's buffers.
-func (d *Decoder) DecodeProfileFrom(r io.Reader) (*Profile, Fingerprint, error) {
-	if d.sum == nil {
-		d.sum = sha256.New()
-	}
-	d.sum.Reset()
-	s := stream{buf: d.window[:0], src: r, sum: d.sum}
+// DecodeProfile is the package-level DecodeProfile decoding into d's
+// buffers.
+func (d *Decoder) DecodeProfile(data []byte) (*Profile, error) {
+	s := stream{buf: data}
 	p := d.decodeProfile(&s)
-	err := s.finish()
-	d.window = s.buf[:0]
-	if err != nil {
-		return nil, "", err
+	if err := s.finish(); err != nil {
+		return nil, err
 	}
-	var fp [2 * fpBytes]byte
-	hex.Encode(fp[:], d.sum.Sum(d.digest[:0])[:fpBytes])
-	return p, Fingerprint(fp[:]), nil
+	return p, nil
 }
 
 // decodeProfile is the shared incremental profile parser. Each slice
@@ -515,12 +505,7 @@ func (s *stream) decodePlanSet() *PlanSet {
 // bytes, and absurd lengths are errors, never panics — this is the
 // service's network-facing parser.
 func DecodeProfile(data []byte) (*Profile, error) {
-	s := stream{buf: data}
-	p := new(Decoder).decodeProfile(&s)
-	if err := s.finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return new(Decoder).DecodeProfile(data)
 }
 
 // DecodeProfileFrom parses exactly one canonical profile frame from r,
@@ -528,10 +513,15 @@ func DecodeProfile(data []byte) (*Profile, error) {
 // never buffers more than one window, and the returned Fingerprint is
 // the content address of the consumed bytes (identical to
 // FingerprintBytes over the same frame). r must end at the frame
-// boundary; trailing bytes are an error. It decodes with a fresh
-// Decoder, so the profile is the caller's to keep.
+// boundary; trailing bytes are an error. The profile is the caller's to
+// keep.
 func DecodeProfileFrom(r io.Reader) (*Profile, Fingerprint, error) {
-	return new(Decoder).DecodeProfileFrom(r)
+	s := stream{src: r, sum: sha256.New()}
+	p := new(Decoder).decodeProfile(&s)
+	if err := s.finish(); err != nil {
+		return nil, "", err
+	}
+	return p, Fingerprint(hex.EncodeToString(s.sum.Sum(nil)[:fpBytes])), nil
 }
 
 // DecodePlanSet parses a plan-set frame from memory. Canonicality is
@@ -545,18 +535,18 @@ func DecodePlanSet(data []byte) (*PlanSet, error) {
 	return ps, nil
 }
 
-// PlanCount returns how many plans a plan-set frame holds. It reads
-// only the header, the app name's length and the plan count, so unlike
-// DecodePlanSet it does not check the plans themselves.
-func PlanCount(data []byte) (int, error) {
+// PlanSetHeader returns the app a plan-set frame is for and how many
+// plans it holds. It reads only the header, the app name and the plan
+// count, so unlike DecodePlanSet it does not check the plans themselves.
+func PlanSetHeader(data []byte) (app string, plans int, err error) {
 	s := stream{buf: data}
 	s.header(KindPlanSet)
-	if n := s.count(1); s.err == nil {
-		s.pos += n
-		s.off += int64(n)
+	app = s.str()
+	plans = s.count(10)
+	if s.err != nil {
+		return "", 0, s.err
 	}
-	n := s.count(10)
-	return n, s.err
+	return app, plans, nil
 }
 
 // DecodePlanSetFrom parses exactly one canonical plan-set frame from r,

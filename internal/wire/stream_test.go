@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -189,8 +191,7 @@ func TestEncodeProfileFastPathMatchesSorted(t *testing.T) {
 // one-shot decode allocates the returned structures themselves (one
 // Entries slice per sample is the structural floor); encode of a
 // canonical profile is a single output-buffer allocation. A reused
-// Decoder allocates only the reader, the app string and the
-// fingerprint, whatever the sample count.
+// Decoder allocates only the app string, whatever the sample count.
 func TestWireAllocsPerRun(t *testing.T) {
 	p := benchProfile(64)
 	data := EncodeProfile(p)
@@ -216,34 +217,34 @@ func TestWireAllocsPerRun(t *testing.T) {
 	for _, n := range []int{4, 64, 1024} {
 		data := EncodeProfile(benchProfile(n))
 		if got := testing.AllocsPerRun(50, func() {
-			if _, _, err := d.DecodeProfileFrom(bytes.NewReader(data)); err != nil {
+			if _, err := d.DecodeProfile(data); err != nil {
 				t.Fatal(err)
 			}
-		}); got > 3 { // reader, app string, fingerprint
-			t.Errorf("reused Decoder, %d samples: %.1f allocs/op, want <= 3", n, got)
+		}); got > 1 { // app string
+			t.Errorf("reused Decoder, %d samples: %.1f allocs/op, want <= 1", n, got)
 		}
 	}
 }
 
 // TestDecoderReuse: a Decoder decodes frames of shrinking and growing
-// size into its kept buffers and gives the same profile and fingerprint
-// as a fresh decode each time, including after a rejected frame.
+// size into its kept buffers and gives the same profile as a fresh
+// decode each time, including after a rejected frame.
 func TestDecoderReuse(t *testing.T) {
 	var d Decoder
 	for _, n := range []int{64, 3, 0, 200, 17} {
 		data := EncodeProfile(benchProfile(n))
-		want, wantFP, err := DecodeProfileFrom(bytes.NewReader(data))
+		want, err := DecodeProfile(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := d.DecodeProfileFrom(bytes.NewReader(data[:len(data)-1])); err == nil {
+		if _, err := d.DecodeProfile(data[:len(data)-1]); err == nil {
 			t.Fatalf("%d samples: truncated frame accepted", n)
 		}
-		got, fp, err := d.DecodeProfileFrom(bytes.NewReader(data))
+		got, err := d.DecodeProfile(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fp != wantFP || !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d samples: reused decoder disagrees with a fresh decode", n)
 		}
 		if !bytes.Equal(EncodeProfile(got), data) {
@@ -329,5 +330,46 @@ func TestUintSplitAcrossRefills(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBodyFill: Fill reads the whole body and fingerprints it as
+// FingerprintBytes does, whatever the reader's chunking and whatever
+// length the sender declared; a reused Body reads a frame it has room
+// for allocating only the fingerprint; a declared length allocates no
+// more than maxPresize ahead of the bytes that arrive.
+func TestBodyFill(t *testing.T) {
+	data := EncodeProfile(benchProfile(700))
+	want := FingerprintBytes(data)
+	var b Body
+	for _, size := range []int64{-1, 0, 10, int64(len(data)), int64(len(data)) + 100} {
+		for name, r := range map[string]func() io.Reader{
+			"whole":    func() io.Reader { return bytes.NewReader(data) },
+			"one-byte": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
+		} {
+			fp, err := b.Fill(r(), size)
+			if err != nil || fp != want || !bytes.Equal(b.Bytes, data) {
+				t.Fatalf("size %d %s: Fill = %s, %v (%d bytes); want %s (%d bytes)",
+					size, name, fp, err, len(b.Bytes), want, len(data))
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := b.Fill(bytes.NewReader(data), int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 { // reader, fingerprint
+		t.Errorf("reused Body: %.1f allocs/op, want <= 2", got)
+	}
+
+	var fresh Body
+	if _, err := fresh.Fill(bytes.NewReader(data[:10]), 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(fresh.Bytes); c > maxPresize+minGrow {
+		t.Fatalf("declared 1 TiB, sent 10 bytes: buffer capacity %d", c)
+	}
+	if _, err := fresh.Fill(iotest.ErrReader(io.ErrUnexpectedEOF), -1); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read error = %v, want it wrapped", err)
 	}
 }

@@ -80,6 +80,15 @@ func TestPlanSetRoundTrip(t *testing.T) {
 	if !bytes.Equal(EncodePlanSet(got), data) {
 		t.Fatal("encode(decode(b)) != b")
 	}
+	// The header reader agrees with the full decode, and rejects a frame
+	// cut inside the app name.
+	app, n, err := PlanSetHeader(data)
+	if err != nil || app != ps.App || n != len(ps.Plans) {
+		t.Fatalf("PlanSetHeader = %q, %d, %v; want %q, %d", app, n, err, ps.App, len(ps.Plans))
+	}
+	if _, _, err := PlanSetHeader(data[:8]); err == nil {
+		t.Fatal("PlanSetHeader accepted a truncated header")
+	}
 }
 
 func TestFingerprintIgnoresFieldOrdering(t *testing.T) {
