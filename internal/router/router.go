@@ -2,11 +2,13 @@
 // plan-service requests to the shard owning each profile fingerprint on
 // a consistent-hash ring.
 //
-// Routing is content-addressed: an ingest body is fingerprinted as it
-// arrives (the same truncated SHA-256 the shards use as a cache key), so
-// one profile always lands on one shard and the fleet's cache capacity
-// adds instead of duplicating. Plan fetches route by the fingerprint in
-// the path, which by construction agrees with where the ingest went.
+// Routing is content-addressed: an ingest body is read once into a
+// buffer from the pool the shards also draw from, and fingerprinted as
+// it arrives (the same truncated SHA-256 the shards use as a cache key),
+// so one profile always lands on one shard and the fleet's cache
+// capacity adds instead of duplicating. Every forward attempt sends that
+// same buffer. Plan fetches route by the fingerprint in the path, which
+// by construction agrees with where the ingest went.
 //
 // On a shard failure (transport error or 5xx) the router retries the
 // next distinct member in the key's ring order; this failover is the
@@ -22,7 +24,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -75,7 +76,7 @@ type Router struct {
 	client  *http.Client
 	handler http.Handler
 
-	proxied, failovers, failed atomic.Int64
+	proxied, failovers, failed, oversize atomic.Int64
 }
 
 // MetricsResponse is the router's GET /v1/metrics reply: the shard
@@ -138,6 +139,9 @@ func (rt *Router) Counters() map[string]int64 {
 		"router_requests_proxied": rt.proxied.Load(),
 		"router_failovers":        rt.failovers.Load(),
 		"router_requests_failed":  rt.failed.Load(),
+		// Uploads the router refused as too large; they never reach a
+		// shard, so no shard counter shows them.
+		"router_requests_rejected_oversize": rt.oversize.Load(),
 	}
 }
 
@@ -169,10 +173,16 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
+// maxDrain is how much of a failed shard's reply forward reads before
+// closing it. Draining a short error body lets the connection be
+// reused; a shard that keeps streaming must not hold up the failover.
+const maxDrain = 4 << 10
+
 // forward tries the shards in key's ring order, replaying the request
 // until one answers. A shard "answers" with any complete response below
 // 500 — 4xx is the shard's verdict on the request, not a shard failure.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, path string, body []byte) {
+// body is the ingest upload, nil for a bodiless request.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, path string, body *upload) {
 	rt.proxied.Add(1)
 	shards := rt.ring.Successors(key, rt.cfg.Retries)
 	var lastErr error
@@ -180,14 +190,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, path stri
 		if i > 0 {
 			rt.failovers.Add(1)
 		}
-		var rdr io.Reader
-		if body != nil {
-			rdr = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, rt.bases[shard]+path, rdr)
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, rt.bases[shard]+path, nil)
 		if err != nil {
 			lastErr = err
 			continue
+		}
+		if body != nil {
+			body.attach(req)
 		}
 		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 		resp, err := rt.client.Do(req)
@@ -196,7 +205,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, path stri
 			continue
 		}
 		if resp.StatusCode >= 500 {
-			io.Copy(io.Discard, resp.Body)
+			io.CopyN(io.Discard, resp.Body, maxDrain)
 			resp.Body.Close()
 			lastErr = fmt.Errorf("shard %s: %s", shard, resp.Status)
 			continue
@@ -219,8 +228,81 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, path stri
 	})
 }
 
+// upload is an ingest body the router holds while it forwards it. The
+// transport may still read, and close, a request body after Do returns
+// (a shard that answers before it reads the whole body), so the buffer
+// is reference counted: the handler holds one reference, and every
+// request body the transport is given holds one until it is closed.
+// Whoever drops the last returns the buffer to the pool. A body the
+// transport never closes leaves its buffer to the collector.
+type upload struct {
+	body *wire.Body
+	refs atomic.Int32
+}
+
+// release drops one reference.
+func (u *upload) release() {
+	if u.refs.Add(-1) == 0 {
+		u.body.Release()
+	}
+}
+
+// attach gives req the upload as its body, and a GetBody so the
+// transport can rewind it on a stale keep-alive connection.
+func (u *upload) attach(req *http.Request) {
+	req.ContentLength = int64(len(u.body.Bytes))
+	if req.ContentLength == 0 {
+		req.Body = http.NoBody
+		return
+	}
+	req.Body = u.open()
+	req.GetBody = func() (io.ReadCloser, error) { return u.open(), nil }
+}
+
+// open returns a reader over the bytes that holds a reference until
+// it is closed.
+func (u *upload) open() io.ReadCloser {
+	u.refs.Add(1)
+	return &uploadReader{u: u}
+}
+
+// uploadReader is one request body over an upload. Read and Close
+// exclude each other, and a Read after Close fails, so no read can
+// touch the buffer once this reader's reference is dropped.
+type uploadReader struct {
+	mu  sync.Mutex
+	u   *upload // nil once closed
+	off int
+}
+
+func (ur *uploadReader) Read(p []byte) (int, error) {
+	ur.mu.Lock()
+	defer ur.mu.Unlock()
+	if ur.u == nil {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	rest := ur.u.body.Bytes[ur.off:]
+	if len(rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, rest)
+	ur.off += n
+	return n, nil
+}
+
+func (ur *uploadReader) Close() error {
+	ur.mu.Lock()
+	defer ur.mu.Unlock()
+	if ur.u != nil {
+		ur.u.release()
+		ur.u = nil
+	}
+	return nil
+}
+
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength > rt.cfg.MaxBodyBytes {
+		rt.oversize.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
 			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
 				r.ContentLength, rt.cfg.MaxBodyBytes),
@@ -228,21 +310,24 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body must be buffered anyway to replay across failover; its
-	// fingerprint (the same content address the shards key their caches
-	// by) is the routing key, so ingest and the follow-up plan fetch land
-	// on the same shard.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	// fingerprint, taken as it arrives, is the content address the shards
+	// key their caches by and the routing key, so ingest and the
+	// follow-up plan fetch land on the same shard.
+	up := &upload{body: wire.GetBody()}
+	up.refs.Store(1)
+	defer up.release()
+	fp, err := up.body.Fill(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
+			rt.oversize.Add(1)
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	key := string(wire.FingerprintBytes(body))
-	rt.forward(w, r, key, "/v1/profiles", body)
+	rt.forward(w, r, string(fp), "/v1/profiles", up)
 }
 
 func (rt *Router) handlePlans(w http.ResponseWriter, r *http.Request) {

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,6 +420,7 @@ func TestMetricsCounterNames(t *testing.T) {
 	}
 	wantRouter := []string{
 		"router_failovers", "router_requests_failed", "router_requests_proxied",
+		"router_requests_rejected_oversize",
 	}
 	names := func(m map[string]int64) []string {
 		var out []string
@@ -450,5 +454,354 @@ func TestMetricsCounterNames(t *testing.T) {
 	}
 	if got := names(m.Router); !slices.Equal(got, wantRouter) {
 		t.Errorf("router counters = %v, want %v", got, wantRouter)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// lateClose is an http.RoundTripper that does what the interface
+// allows a transport to do: finish with a request body after RoundTrip
+// returns. It hashes each request body through GetBody, sends the
+// request through next with another body from GetBody, and keeps the
+// body it was given open, with that hash, for the test to read later.
+// net/http's own transport overlaps a body with the caller only briefly
+// (a reply that comes before the send ends waits up to 50 ms for it,
+// then the connection is closed), too briefly for a test to catch a
+// buffer given back too early.
+type lateClose struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	kept []keptBody
+}
+
+type keptBody struct {
+	body io.ReadCloser
+	fp   wire.Fingerprint
+}
+
+func (l *lateClose) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body == nil || req.Body == http.NoBody {
+		return l.next.RoundTrip(req)
+	}
+	fp, err := hashBody(req.GetBody)
+	if err != nil {
+		req.Body.Close()
+		return nil, err
+	}
+	body, err := req.GetBody()
+	if err != nil {
+		req.Body.Close()
+		return nil, err
+	}
+	l.mu.Lock()
+	l.kept = append(l.kept, keptBody{req.Body, fp})
+	l.mu.Unlock()
+	out := req.Clone(req.Context())
+	out.Body = body
+	return l.next.RoundTrip(out)
+}
+
+func hashBody(open func() (io.ReadCloser, error)) (wire.Fingerprint, error) {
+	body, err := open()
+	if err != nil {
+		return "", err
+	}
+	defer body.Close()
+	data, err := io.ReadAll(body)
+	return wire.FingerprintBytes(data), err
+}
+
+// TestUploadOutlivesEarlyReply: a request body may be read and closed
+// after the router's handler has replied, so the upload's buffer must
+// not go back to the pool until the last reader is closed. Distinct
+// windows are posted concurrently through a router over a shard that
+// answers 429 without reading the body and a normal shard, whose
+// transport keeps every body it is handed open until the end. Every
+// body the normal shard receives, and every kept body read after all
+// posts, must hash to what a client sent: a buffer given back while a
+// body over it was still open would by then hold a later upload.
+func TestUploadOutlivesEarlyReply(t *testing.T) {
+	early := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, `{"error":"server at capacity"}`)
+	}))
+	defer early.Close()
+	normal := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		io.WriteString(w, string(wire.FingerprintBytes(body)))
+	}))
+	defer normal.Close()
+	rt, err := New(Config{Shards: []string{early.URL, normal.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := &lateClose{next: http.DefaultTransport}
+	rt.client.Transport = late
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	const clients, posts = 4, 16
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		sent = map[string]bool{}
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < posts; i++ {
+				body := make([]byte, 100<<10+rng.Intn(150<<10))
+				rng.Read(body)
+				fp := string(wire.FingerprintBytes(body))
+				mu.Lock()
+				sent[fp] = true
+				mu.Unlock()
+				resp, err := http.Post(ts.URL+"/v1/profiles", "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch owner := rt.Ring().Owner(fp); {
+				case owner == early.URL && resp.StatusCode != http.StatusTooManyRequests:
+					t.Errorf("post owned by the early shard = %d, want 429", resp.StatusCode)
+				case owner == normal.URL && (resp.StatusCode != http.StatusOK || string(got) != fp):
+					t.Errorf("normal shard = %d and hashed the body to %q, client sent %s",
+						resp.StatusCode, got, fp)
+				}
+			}
+		}(int64(c))
+	}
+	wg.Wait()
+
+	late.mu.Lock()
+	defer late.mu.Unlock()
+	if len(late.kept) != clients*posts {
+		t.Fatalf("transport kept %d bodies, want %d", len(late.kept), clients*posts)
+	}
+	for _, k := range late.kept {
+		data, err := io.ReadAll(k.body)
+		k.body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := wire.FingerprintBytes(data); fp != k.fp || !sent[string(fp)] {
+			t.Fatalf("a body read after its reply hashes to %s; it was %s when sent", fp, k.fp)
+		}
+	}
+}
+
+// TestWarmHitBytesIndependentOfProfileSize: a warm hit through the
+// router reads the upload into a pooled buffer and hashes it as it
+// arrives, so the bytes it allocates do not grow with the profile. The
+// full IS window and its 1/8 cut are each ingested once (the miss), then
+// posted repeatedly. The only allowed difference is the transport's copy
+// buffer for the forwarded body, which is min(32 KiB, body length).
+func TestWarmHitBytesIndependentOfProfileSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	e, ok := workloads.ByKey("IS")
+	if !ok {
+		t.Fatal("workload IS not registered")
+	}
+	full, fullBody, err := service.CollectProfile(e, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := *full
+	small.Samples = full.Samples[:len(full.Samples)/8]
+	smallBody := wire.EncodeProfile(&small)
+
+	var h http.Handler
+	post := func(body []byte, want int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profiles", bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("POST: status %d, want %d: %s", rec.Code, want, rec.Body)
+		}
+	}
+	bytesPerHit := func(body []byte) float64 {
+		// A fresh shard each time: the two windows share a loop shape,
+		// so one shard would stale-match the second.
+		shard := httptest.NewServer(service.New(service.Config{}).Handler())
+		defer shard.Close()
+		rt, err := New(Config{Shards: []string{shard.URL}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = rt.Handler()
+		post(body, http.StatusCreated)
+		for i := 0; i < 3; i++ {
+			post(body, http.StatusOK)
+		}
+		const n = 40
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			post(body, http.StatusOK)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	}
+	smallB, fullB := bytesPerHit(smallBody), bytesPerHit(fullBody)
+	copyBuf := float64(32<<10 - min(32<<10, len(smallBody)))
+	t.Logf("warm hit through the router: %.0f B/op for %d body bytes, %.0f B/op for %d",
+		smallB, len(smallBody), fullB, len(fullBody))
+	if fullB-smallB > copyBuf+float64(len(fullBody)-len(smallBody))/16 {
+		t.Fatalf("warm hit allocates %.0f B/op more for a body %d bytes longer",
+			fullB-smallB, len(fullBody)-len(smallBody))
+	}
+}
+
+// TestBodyPoolDropsLargeBuffers: a 4 MiB upload through the router,
+// read whole and forwarded (then rejected by the shard's decoder) or cut
+// off at the router's body limit, leaves no buffer of its size in the
+// body pool. A pooled buffer would survive the first collection in the
+// pool's victim cache, so it would show in the heap retained after one
+// GC.
+func TestBodyPoolDropsLargeBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const big = 4 << 20
+	garbage := bytes.Repeat([]byte("x"), big)
+	shard := httptest.NewServer(service.New(service.Config{}).Handler())
+	defer shard.Close()
+	rt, err := New(Config{Shards: []string{shard.URL}, MaxBodyBytes: big - 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	post := func(body []byte, declared int64, want int) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/profiles", io.MultiReader(bytes.NewReader(body)))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("POST of %d bytes = %d, want %d: %s", len(body), rec.Code, want, rec.Body)
+		}
+	}
+	retained := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	for _, c := range []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int
+	}{
+		{"rejected by the shard", garbage[:big-2048], big - 2048, http.StatusBadRequest},
+		{"cut off at the limit", garbage, -1, http.StatusRequestEntityTooLarge},
+	} {
+		post([]byte("warm"), -1, http.StatusBadRequest)
+		before := retained()
+		post(c.body, c.declared, c.want)
+		if grew := retained() - before; grew > 1<<20 {
+			t.Errorf("%s: heap retained %d more bytes after the upload", c.name, grew)
+		}
+	}
+}
+
+// TestOversizeRejectionsCounted: the router's own 413s, on a declared
+// length and on a chunked body cut off at the limit, never reach a
+// shard, so the router counts them itself.
+func TestOversizeRejectionsCounted(t *testing.T) {
+	var shardHits atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		shardHits.Add(1)
+	}))
+	defer shard.Close()
+	rt, err := New(Config{Shards: []string{shard.URL}, MaxBodyBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("x"), 64)
+	for _, declared := range []int64{int64(len(big)), -1} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/profiles", io.MultiReader(bytes.NewReader(big)))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize POST declaring %d = %d, want 413", declared, rec.Code)
+		}
+	}
+	if got := rt.Counters()["router_requests_rejected_oversize"]; got != 2 {
+		t.Errorf("router_requests_rejected_oversize = %d, want 2", got)
+	}
+	if n := shardHits.Load(); n != 0 {
+		t.Errorf("%d oversize uploads reached the shard", n)
+	}
+}
+
+// TestFailoverPastStreaming500: an owner that answers 500 and keeps
+// streaming its body costs a short drain, not an upstream timeout, before
+// the next ring member serves the request, and leaves no goroutine
+// behind once the router's idle connections close.
+func TestFailoverPastStreaming500(t *testing.T) {
+	const timeout = 4 * time.Second
+	streaming := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		chunk := make([]byte, 4<<10)
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer streaming.Close()
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "plans")
+	}))
+	defer live.Close()
+
+	rt, err := New(Config{Shards: []string{streaming.URL, live.URL}, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := ""
+	for i := 0; fp == ""; i++ {
+		if k := fmt.Sprintf("%040x", i); rt.Ring().Owner(k) == streaming.URL {
+			fp = k
+		}
+	}
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	baseline := settledGoroutines()
+
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/plans/"+fp, nil))
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusOK || rec.Header().Get(HeaderShard) != live.URL {
+		t.Fatalf("GET with a streaming 500 owner = %d via %q (%s), want 200 via %s",
+			rec.Code, rec.Header().Get(HeaderShard), rec.Body, live.URL)
+	}
+	if elapsed > timeout/4 {
+		t.Fatalf("failover past a streaming 500 took %v (upstream timeout %v)", elapsed, timeout)
+	}
+	if rt.Counters()["router_failovers"] != 1 {
+		t.Fatalf("router counters = %v, want one failover", rt.Counters())
+	}
+
+	rt.client.CloseIdleConnections()
+	for deadline := time.Now().Add(timeout); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the failover, baseline %d",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -254,22 +254,12 @@ func (s *Server) reject(w http.ResponseWriter) {
 		errorResponse{Error: "server at capacity"})
 }
 
-// Ingest buffers: an ingest reads the upload into a pooled body and,
-// when its hash finds no cached plans, decodes it into a pooled
-// decoder's buffers, returning both when the handler ends, so the
-// warm-hit path allocates nothing that grows with the profile. The
-// pools are shared by every Server in the process, so a process that
+// decoders pools the decode buffers an ingest whose hash finds no cached
+// plans decodes into; with the wire package's body pool this keeps the
+// warm-hit path free of allocations that grow with the profile. The
+// pool is shared by every Server in the process, so a process that
 // starts many servers keeps one set of buffers, not one per server.
-var (
-	bodies   = sync.Pool{New: func() any { return new(wire.Body) }}
-	decoders = sync.Pool{New: func() any { return new(wire.Decoder) }}
-)
-
-// maxPooledBody is the largest body buffer an ingest returns to the
-// pool. A profile window is 100–250 KB; a buffer a rare larger upload
-// (accepted or not) grew past this is left to the collector rather than
-// kept alive by the pool.
-const maxPooledBody = 1 << 20
+var decoders = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire() {
@@ -293,12 +283,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// arrives. A malformed upload is buffered (up to MaxBodyBytes)
 	// before the decoder rejects it, so ingest memory is bounded by
 	// MaxInflight × MaxBodyBytes.
-	body := bodies.Get().(*wire.Body)
-	defer func() {
-		if cap(body.Bytes) <= maxPooledBody {
-			bodies.Put(body)
-		}
-	}()
+	body := wire.GetBody()
+	defer body.Release()
 	fp, err := body.Fill(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		status := http.StatusBadRequest

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"io"
 	"slices"
+	"sync"
 )
 
 // Fingerprint is the content address of a profile: a stable hash over
@@ -53,6 +54,28 @@ type Body struct {
 	Bytes  []byte
 	sum    hash.Hash
 	digest [sha256.Size]byte
+}
+
+// bodies is the process-wide pool of upload buffers. The shards and the
+// router share it, so a process that runs both keeps one set of buffers.
+var bodies = sync.Pool{New: func() any { return new(Body) }}
+
+// maxPooledBody is the largest buffer Release returns to the pool. A
+// profile window is 100–250 KB; a buffer a rare larger upload (accepted
+// or not) grew past this is left to the collector rather than kept
+// alive by the pool.
+const maxPooledBody = 1 << 20
+
+// GetBody takes a Body from the pool. Hand it back with Release once
+// nothing can still read its Bytes.
+func GetBody() *Body { return bodies.Get().(*Body) }
+
+// Release returns b to the pool GetBody draws from, unless its buffer
+// grew past 1 MiB. Neither b nor its Bytes may be used after.
+func (b *Body) Release() {
+	if cap(b.Bytes) <= maxPooledBody {
+		bodies.Put(b)
+	}
 }
 
 // Body growth: a declared length sizes the buffer up front, but never
