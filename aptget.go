@@ -48,7 +48,8 @@ type (
 	MachineConfig = mem.Config
 	// WorkloadEntry is one Table 3 application constructor.
 	WorkloadEntry = workloads.Entry
-	// ExperimentOptions configures experiment runs.
+	// ExperimentOptions selects the app subset of experiment runs
+	// (Quick); every experiment runs the DefaultConfig pipeline.
 	ExperimentOptions = experiments.Options
 )
 
@@ -68,11 +69,8 @@ func RunBaseline(w Workload, cfg Config) (*Result, error) { return core.RunBasel
 // RunStatic executes a workload under the Ainsworth & Jones static pass.
 func RunStatic(w Workload, cfg Config) (*Result, error) { return core.RunStatic(w, cfg) }
 
-// RunAptGet executes the full APT-GET pipeline on a workload.
-func RunAptGet(w Workload, cfg Config) (*Result, error) { return core.RunAptGet(w, cfg) }
-
-// RunPipeline is RunAptGet under its descriptive name: profile → analyze
-// → inject → execute, with per-plan provenance on the Result.
+// RunPipeline executes the full APT-GET pipeline on a workload: profile
+// → analyze → inject → execute, with per-plan provenance on the Result.
 func RunPipeline(w Workload, cfg Config) (*Result, error) { return core.RunPipeline(w, cfg) }
 
 // ProfileAndPlan profiles a workload and returns its prefetch plans.

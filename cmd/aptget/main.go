@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s (ainsworth-jones, D=%d)\n%s", entry.Key, *staticDist, r.Counters.String())
 		fmt.Fprintf(stdout, "pass: %s\n", r.Report)
 	case "aptget":
-		r, err := core.RunAptGet(entry.New(), cfg)
+		r, err := core.RunPipeline(entry.New(), cfg)
 		if err != nil {
 			return fail(err)
 		}

@@ -189,12 +189,6 @@ func analyze(w Workload, p *ir.Program, prof *profile.Profile, cfg Config) ([]an
 	return plans, nil
 }
 
-// RunAptGet runs the full APT-GET pipeline: profile, analyze, inject,
-// execute. It is RunPipeline under the evaluation's historical name.
-func RunAptGet(w Workload, cfg Config) (*Result, error) {
-	return RunPipeline(w, cfg)
-}
-
 // RunPipeline is the paper's end-to-end flow: profile once, derive
 // plans from the analytical model, inject the prefetch slices, and run
 // the optimized build. Each stage opens an obs span scoped to the

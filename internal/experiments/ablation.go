@@ -23,26 +23,22 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// ablationVariants lists the configurations under test.
-func ablationVariants() []struct {
+// ablationVariants lists the disabled design choices under test. The
+// full pipeline's row is the apps' comparisons' APT-GET runs.
+var ablationVariants = []struct {
 	name string
 	mut  func(*core.Config)
-} {
-	return []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"full APT-GET", func(c *core.Config) {}},
-		{"no staged prefetching", func(c *core.Config) { c.Inject.Inject.DisableStaging = true }},
-		{"per-element sweeps", func(c *core.Config) { c.Inject.Inject.DisableLineStride = true }},
-		{"raw lowest-peak IC", func(c *core.Config) { c.Analysis.RawIC = true }},
-		{"inner-loop only", func(c *core.Config) { c.Analysis.DisableOuter = true }},
-	}
+}{
+	{"no staged prefetching", func(c *core.Config) { c.Inject.Inject.DisableStaging = true }},
+	{"per-element sweeps", func(c *core.Config) { c.Inject.Inject.DisableLineStride = true }},
+	{"raw lowest-peak IC", func(c *core.Config) { c.Analysis.RawIC = true }},
+	{"inner-loop only", func(c *core.Config) { c.Analysis.DisableOuter = true }},
 }
 
-// Ablation runs the variants over a diverse app subset. The per-app
-// baselines and the variant×app grid are both flattened into independent
-// jobs on the runner pool and reduced in variant-major order.
+// Ablation runs the variants over a diverse app subset. The baselines
+// and the full pipeline come from the apps' comparisons; the
+// variant×app grid is flattened into independent jobs on the runner pool
+// and reduced in variant-major order.
 func Ablation(o Options) (*AblationResult, error) {
 	keys := []string{"BFS", "HJ2", "HJ8", "CG", "randAcc"}
 	if o.Quick {
@@ -58,24 +54,18 @@ func Ablation(o Options) (*AblationResult, error) {
 		}
 		entries[i] = e
 	}
-	cfg0 := o.config()
-	bases, err := runner.Map(len(entries), func(i int) (*core.Result, error) {
-		base, err := core.RunBaseline(entries[i].New(), cfg0)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", keys[i], err)
-		}
-		return base, nil
+	cmps, err := runner.Map(len(entries), func(i int) (*core.Comparison, error) {
+		return comparison(entries[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	variants := ablationVariants()
-	runs, err := runner.Map(len(variants)*len(entries), func(j int) (*core.Result, error) {
-		v, e := variants[j/len(entries)], entries[j%len(entries)]
-		cfg := o.config()
+	runs, err := runner.Map(len(ablationVariants)*len(entries), func(j int) (*core.Result, error) {
+		v, e := ablationVariants[j/len(entries)], entries[j%len(entries)]
+		cfg := core.DefaultConfig()
 		v.mut(&cfg)
-		r, err := core.RunAptGet(e.New(), cfg)
+		r, err := core.RunPipeline(e.New(), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s/%s: %w", v.name, e.Key, err)
 		}
@@ -84,18 +74,18 @@ func Ablation(o Options) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range variants {
+	row := func(name string, run func(ai int) *core.Result) AblationRow {
 		var sps, ovs []float64
-		for ai := range entries {
-			r, base := runs[vi*len(entries)+ai], bases[ai]
-			sps = append(sps, r.Speedup(base))
-			ovs = append(ovs, r.Counters.InstructionOverhead(&base.Counters))
+		for ai, c := range cmps {
+			r := run(ai)
+			sps = append(sps, r.Speedup(c.Base))
+			ovs = append(ovs, r.Counters.InstructionOverhead(&c.Base.Counters))
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Variant:       v.name,
-			Speedup:       core.GeoMean(sps),
-			InstrOverhead: core.GeoMean(ovs),
-		})
+		return AblationRow{Variant: name, Speedup: core.GeoMean(sps), InstrOverhead: core.GeoMean(ovs)}
+	}
+	res.Rows = append(res.Rows, row("full APT-GET", func(ai int) *core.Result { return cmps[ai].AptGet }))
+	for vi, v := range ablationVariants {
+		res.Rows = append(res.Rows, row(v.name, func(ai int) *core.Result { return runs[vi*len(entries)+ai] }))
 	}
 	return res, nil
 }
@@ -130,12 +120,13 @@ type LBRWidthResult struct {
 	Rows []LBRWidthRow
 }
 
-// LBRWidth runs the sensitivity study on BFS: the baseline plus one job
-// per ring depth, each profiling and re-running its own BFS instance.
+// LBRWidth runs the sensitivity study on BFS: one job per ring depth,
+// each profiling and re-running its own BFS instance, against the BFS
+// comparison's baseline.
 func LBRWidth(o Options) (*LBRWidthResult, error) {
-	cfg := o.config()
+	cfg := core.DefaultConfig()
 	e, _ := workloads.ByKey("BFS")
-	base, err := core.RunBaseline(e.New(), cfg)
+	cmp, err := comparison(e)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +151,7 @@ func LBRWidth(o Options) (*LBRWidthResult, error) {
 		if err != nil {
 			return LBRWidthRow{}, fmt.Errorf("lbrwidth %d run: %w", width, err)
 		}
-		row.Speedup = r.Speedup(base)
+		row.Speedup = r.Speedup(cmp.Base)
 		return row, nil
 	})
 	if err != nil {

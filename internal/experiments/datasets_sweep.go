@@ -71,7 +71,7 @@ func fig6xCells(o Options) []struct {
 
 // Fig6x runs the dataset sweep: one job per app×dataset cell.
 func Fig6x(o Options) (*Fig6xResult, error) {
-	cfg := o.config()
+	cfg := core.DefaultConfig()
 	cells := fig6xCells(o)
 	rows, err := runner.Map(len(cells), func(i int) (Fig6xRow, error) {
 		c := cells[i]

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"aptget/internal/core"
 	"aptget/internal/runner"
+	"aptget/internal/workloads"
 )
 
 // Fig8Row compares the LBR-derived distance against an exhaustive static
@@ -28,55 +30,80 @@ type Fig8Result struct {
 // fig8Distances is the paper's sweep set D = {1,2,4,8,16,32,64,128}.
 var fig8Distances = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// Fig8 runs the experiment: one job per app, and within each app one job
-// per sweep distance (plus the LBR-distance run). The best distance is
-// reduced in sweep order, so ties break exactly as the serial loop did.
-func Fig8(o Options) (*Fig8Result, error) {
-	cfg := o.config()
-	entries := apps(o)
-	rows, err := runner.Map(len(entries), func(i int) (Fig8Row, error) {
-		e := entries[i]
-		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
+// distanceSweep is one app's static-distance sweep (§4.5–4.6): the
+// speedup with every plan's distance pinned to each fig8Distances entry
+// (keeping APT-GET's injection sites) and with the LBR-derived
+// distances. Figures 8 and 9 are two projections of it.
+type distanceSweep struct {
+	Key         string
+	LBRDistance int64             // distance the analysis picked (first plan)
+	Speedups    map[int64]float64 // by pinned distance
+	LBRSpeedup  float64
+}
+
+// sweeps memoises sweep: app key -> *memo[*distanceSweep].
+var sweeps sync.Map
+
+// sweep returns the app's distance sweep. The baseline, the plans and
+// the LBR-distance run come from the app's comparison; only the pinned
+// distances are simulated here, one job each.
+func sweep(e workloads.Entry) (*distanceSweep, error) {
+	return memoised(&sweeps, e.Key, func() (*distanceSweep, error) {
+		cmp, err := comparison(e)
 		if err != nil {
-			return Fig8Row{}, fmt.Errorf("fig8 %s: %w", e.Key, err)
+			return nil, err
 		}
-		row := Fig8Row{Key: e.Key}
+		plans := cmp.AptGet.Plans
+		s := &distanceSweep{Key: e.Key, LBRSpeedup: cmp.AptGetSpeedup()}
 		if len(plans) > 0 {
-			row.LBRDistance = plans[0].Distance
+			s.LBRDistance = plans[0].Distance
 		}
-		runs, err := runner.Map(len(fig8Distances)+1, func(j int) (*core.Result, error) {
-			if j == len(fig8Distances) {
-				r, err := core.RunWithPlans(e.New(), plans, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("fig8 %s apt: %w", e.Key, err)
-				}
-				return r, nil
-			}
+		sps, err := runner.Map(len(fig8Distances), func(j int) (float64, error) {
 			d := fig8Distances[j]
-			r, err := core.RunWithPlans(e.New(), forceDistance(plans, d), cfg)
+			r, err := core.RunWithPlans(e.New(), forceDistance(plans, d), core.DefaultConfig())
 			if err != nil {
-				return nil, fmt.Errorf("fig8 %s dist %d: %w", e.Key, d, err)
+				return 0, fmt.Errorf("distance sweep %s D=%d: %w", e.Key, d, err)
 			}
-			return r, nil
+			return r.Speedup(cmp.Base), nil
 		})
 		if err != nil {
-			return Fig8Row{}, err
+			return nil, err
 		}
+		s.Speedups = make(map[int64]float64, len(sps))
 		for j, d := range fig8Distances {
-			if sp := runs[j].Speedup(base); sp > row.BestSpeedup {
+			s.Speedups[d] = sps[j]
+		}
+		return s, nil
+	})
+}
+
+// sweepAll returns the distance sweep of every app, in registry order.
+func sweepAll(o Options) ([]*distanceSweep, error) {
+	entries := apps(o)
+	return runner.Map(len(entries), func(i int) (*distanceSweep, error) {
+		return sweep(entries[i])
+	})
+}
+
+// Fig8 projects the distance sweep onto the best swept distance per app.
+// The best distance is reduced in sweep order, so ties break toward the
+// smaller distance.
+func Fig8(o Options) (*Fig8Result, error) {
+	sws, err := sweepAll(o)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig8Result{}
+	var bests, apts []float64
+	for _, s := range sws {
+		row := Fig8Row{Key: s.Key, LBRDistance: s.LBRDistance, AptGetSpeedup: s.LBRSpeedup}
+		for _, d := range fig8Distances {
+			if sp := s.Speedups[d]; sp > row.BestSpeedup {
 				row.BestSpeedup = sp
 				row.BestDistance = d
 			}
 		}
-		row.AptGetSpeedup = runs[len(fig8Distances)].Speedup(base)
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig8Result{Rows: rows}
-	var bests, apts []float64
-	for _, row := range rows {
+		res.Rows = append(res.Rows, row)
 		bests = append(bests, row.BestSpeedup)
 		apts = append(apts, row.AptGetSpeedup)
 	}
@@ -120,42 +147,18 @@ type Fig9Result struct {
 	Geo4, Geo16, Geo64, GeoLBR float64
 }
 
-// Fig9 runs the experiment: one job per app; the three fixed distances
-// and the LBR-distance run fan out within each.
+// Fig9 projects the distance sweep onto D = 4/16/64 and the LBR run; it
+// simulates nothing the sweep has not.
 func Fig9(o Options) (*Fig9Result, error) {
-	cfg := o.config()
-	fixed := []int64{4, 16, 64}
-	entries := apps(o)
-	rows, err := runner.Map(len(entries), func(i int) (Fig9Row, error) {
-		e := entries[i]
-		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
-		if err != nil {
-			return Fig9Row{}, fmt.Errorf("fig9 %s: %w", e.Key, err)
-		}
-		sps, err := runner.Map(len(fixed)+1, func(j int) (float64, error) {
-			p := plans
-			if j < len(fixed) {
-				p = forceDistance(plans, fixed[j])
-			}
-			r, err := core.RunWithPlans(e.New(), p, cfg)
-			if err != nil {
-				return 0, fmt.Errorf("fig9 %s: %w", e.Key, err)
-			}
-			return r.Speedup(base), nil
-		})
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		return Fig9Row{
-			Key: e.Key, Dist4: sps[0], Dist16: sps[1], Dist64: sps[2], LBR: sps[3],
-		}, nil
-	})
+	sws, err := sweepAll(o)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig9Result{Rows: rows}
+	res := &Fig9Result{}
 	var g4, g16, g64, gl []float64
-	for _, row := range rows {
+	for _, s := range sws {
+		row := Fig9Row{Key: s.Key, Dist4: s.Speedups[4], Dist16: s.Speedups[16], Dist64: s.Speedups[64], LBR: s.LBRSpeedup}
+		res.Rows = append(res.Rows, row)
 		g4 = append(g4, row.Dist4)
 		g16 = append(g16, row.Dist16)
 		g64 = append(g64, row.Dist64)

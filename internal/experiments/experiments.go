@@ -25,24 +25,12 @@ const (
 	memFB   = mem.LevelFB
 )
 
-// Options configures an experiment run.
+// Options configures an experiment run. Every experiment runs the
+// evaluation's pipeline configuration, core.DefaultConfig.
 type Options struct {
 	// Quick restricts app sweeps to a representative subset (used by
 	// -short test runs).
 	Quick bool
-	// Config overrides the pipeline configuration (zero = default).
-	Config core.Config
-}
-
-func (o Options) config() core.Config {
-	cfg := o.Config
-	if cfg.Machine.Name == "" {
-		cfg = core.DefaultConfig()
-	}
-	// Sweeps verify each workload once via the baseline; transformed
-	// runs are verified too (cheap relative to simulation), so keep
-	// verification on everywhere.
-	return cfg
 }
 
 // apps returns the benchmark set for a run.
@@ -74,9 +62,44 @@ func table(header []string, rows [][]string) string {
 }
 
 // ---------------------------------------------------------------------
-// Shared three-way comparison (baseline / A&J / APT-GET) per app.
-// Figures 5, 6, 7 and 11 are different projections of the same runs, so
-// they share one cached sweep.
+// Runs shared between experiments. Figures 5, 6, 7 and 11 are
+// projections of one three-way comparison per app; Figures 8–10, the
+// ablation and the LBR-width study take their baselines and plans from
+// it, and Figures 8 and 9 read one static-distance sweep per app. Each
+// is memoised per app key, so a run two experiments share is simulated
+// once per process.
+
+// memo is one memoised value; once guards its single computation, so
+// concurrent callers asking for the same key wait for one run.
+type memo[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+// memoised returns m's value for key, computing it with f on first use.
+func memoised[T any](m *sync.Map, key string, f func() (T, error)) (T, error) {
+	v, _ := m.LoadOrStore(key, new(memo[T]))
+	e := v.(*memo[T])
+	e.once.Do(func() { e.val, e.err = f() })
+	return e.val, e.err
+}
+
+// comparisons memoises comparison: app key -> *memo[*core.Comparison].
+var comparisons sync.Map
+
+// comparison returns the app's baseline / Ainsworth & Jones / APT-GET
+// runs under the default configuration. The baseline is the profiling
+// run, and AptGet.Plans are the plans derived from it.
+func comparison(e workloads.Entry) (*core.Comparison, error) {
+	return memoised(&comparisons, e.Key, func() (*core.Comparison, error) {
+		cmp, err := core.Compare(e.New(), core.DefaultConfig())
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", e.Key, err)
+		}
+		return cmp, nil
+	})
+}
 
 // AppComparison holds one application's three-way run.
 type AppComparison struct {
@@ -84,35 +107,15 @@ type AppComparison struct {
 	Cmp *core.Comparison
 }
 
-var cmpCache sync.Map // string cache key -> []AppComparison
-
-func comparisonCacheKey(o Options) string {
-	return fmt.Sprintf("quick=%v/machine=%s", o.Quick, o.config().Machine.Name)
-}
-
-// FullComparisons runs (or returns cached) baseline/static/apt-get runs
-// for every application. The apps are independent jobs fanned out over
-// the runner pool; results come back in registry order.
+// FullComparisons returns the three-way comparison of every application
+// in registry order. The apps are independent jobs fanned out over the
+// runner pool.
 func FullComparisons(o Options) ([]AppComparison, error) {
-	key := comparisonCacheKey(o)
-	if v, ok := cmpCache.Load(key); ok {
-		return v.([]AppComparison), nil
-	}
-	cfg := o.config()
 	entries := apps(o)
-	out, err := runner.Map(len(entries), func(i int) (AppComparison, error) {
-		e := entries[i]
-		cmp, err := core.Compare(e.New(), cfg)
-		if err != nil {
-			return AppComparison{}, fmt.Errorf("experiments: %s: %w", e.Key, err)
-		}
-		return AppComparison{Key: e.Key, Cmp: cmp}, nil
+	return runner.Map(len(entries), func(i int) (AppComparison, error) {
+		cmp, err := comparison(entries[i])
+		return AppComparison{Key: entries[i].Key, Cmp: cmp}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	cmpCache.Store(key, out)
-	return out, nil
 }
 
 // forceDistance returns a copy of the plans with every distance pinned

@@ -9,7 +9,8 @@ import (
 
 // The experiment tests assert the *shapes* the paper reports, not
 // absolute numbers (see EXPERIMENTS.md). Quick mode restricts the app
-// sweeps; the cached FullComparisons are shared across tests.
+// sweeps; the memoised per-app comparisons and distance sweeps are
+// shared across tests.
 
 func quickOpt() Options { return Options{Quick: true} }
 

@@ -24,7 +24,7 @@ type Fig4Result struct {
 // Fig4 profiles the BFS workload and returns the loop-latency
 // distribution of its hottest delinquent load.
 func Fig4(o Options) (*Fig4Result, error) {
-	cfg := o.config()
+	cfg := core.DefaultConfig()
 	e, _ := workloads.ByKey("BFS")
 	w := e.New()
 	_, plans, err := core.ProfileAndPlan(w, cfg)

@@ -75,38 +75,32 @@ func fig12Pairs(o Options) []fig12Pair {
 	return pairs
 }
 
-// Fig12 runs the experiment: one job per pair. Within a pair the two
-// profiling runs and the baseline are independent (each on its own
-// workload instance), then the same-input and cross-input evaluations fan
-// out once the plans exist.
+// Fig12 runs the experiment: one job per pair. Within a pair the train
+// input's profiling run and the test input's profiling run (which is
+// also its baseline) are independent, each on its own workload instance;
+// the same-input and cross-input evaluations fan out once the plans
+// exist.
 func Fig12(o Options) (*Fig12Result, error) {
-	cfg := o.config()
+	cfg := core.DefaultConfig()
 	pairs := fig12Pairs(o)
 	rows, err := runner.Map(len(pairs), func(i int) (Fig12Row, error) {
 		p := pairs[i]
 		var trainPlans, testPlans []analysis.Plan
 		var base *core.Result
-		err := runner.Run(3, func(j int) error {
-			switch j {
-			case 0:
+		err := runner.Run(2, func(j int) error {
+			if j == 0 {
 				_, plans, err := core.ProfileAndPlan(p.train(), cfg)
 				if err != nil {
 					return fmt.Errorf("fig12 %s train profile: %w", p.key, err)
 				}
 				trainPlans = plans
-			case 1:
-				_, plans, err := core.ProfileAndPlan(p.test(), cfg)
-				if err != nil {
-					return fmt.Errorf("fig12 %s test profile: %w", p.key, err)
-				}
-				testPlans = plans
-			case 2:
-				r, err := core.RunBaseline(p.test(), cfg)
-				if err != nil {
-					return err
-				}
-				base = r
+				return nil
 			}
+			r, plans, err := core.BaselineAndPlans(p.test(), cfg)
+			if err != nil {
+				return fmt.Errorf("fig12 %s test profile: %w", p.key, err)
+			}
+			base, testPlans = r, plans
 			return nil
 		})
 		if err != nil {

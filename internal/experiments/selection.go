@@ -94,7 +94,7 @@ func Selection(o Options) (*SelectionResult, error) {
 		}
 		entries[i] = e
 	}
-	cfg0 := o.config()
+	cfg0 := core.DefaultConfig()
 	cfg0.Profile.PEBSPeriod = selectionPEBSPeriod
 	bases, err := runner.Map(len(entries), func(i int) (*core.Result, error) {
 		base, err := core.RunBaseline(entries[i].New(), cfg0)
@@ -111,7 +111,7 @@ func Selection(o Options) (*SelectionResult, error) {
 		e, th := entries[j/len(thresholds)], thresholds[j%len(thresholds)]
 		cfg := cfg0
 		cfg.Profile.MinLoadSCKPI = th
-		r, err := core.RunAptGet(e.New(), cfg)
+		r, err := core.RunPipeline(e.New(), cfg)
 		if err != nil {
 			return SelectionCell{}, fmt.Errorf("selection %s@%.0f: %w", e.Key, th, err)
 		}

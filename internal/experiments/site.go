@@ -54,16 +54,18 @@ func fig10Apps(o Options) []workloads.Entry {
 }
 
 // Fig10 runs the experiment: one job per app, with the forced-inner and
-// forced-outer runs fanned out within each.
+// forced-outer runs fanned out within each. The baseline and the plans
+// are the app's comparison's.
 func Fig10(o Options) (*Fig10Result, error) {
-	cfg := o.config()
+	cfg := core.DefaultConfig()
 	entries := fig10Apps(o)
 	rows, err := runner.Map(len(entries), func(i int) (Fig10Row, error) {
 		e := entries[i]
-		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
+		cmp, err := comparison(e)
 		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s: %w", e.Key, err)
+			return Fig10Row{}, err
 		}
+		plans := cmp.AptGet.Plans
 		row := Fig10Row{Key: e.Key, ChosenSite: siteSummary(plans)}
 		sites := []analysis.Site{analysis.SiteInner, analysis.SiteOuter}
 		sps, err := runner.Map(len(sites), func(j int) (float64, error) {
@@ -71,7 +73,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 			if err != nil {
 				return 0, fmt.Errorf("fig10 %s %v: %w", e.Key, sites[j], err)
 			}
-			return r.Speedup(base), nil
+			return r.Speedup(cmp.Base), nil
 		})
 		if err != nil {
 			return Fig10Row{}, err
