@@ -4,11 +4,11 @@ package aptget
 // paper's evaluation, each printing the regenerated rows (DESIGN.md §4
 // maps them to paper artifacts; EXPERIMENTS.md records paper-vs-measured).
 // Experiments are deterministic, so one iteration regenerates the exact
-// published numbers of this repository. Experiments share memoised
-// per-app runs (the three-way comparisons, the distance sweep), so after
-// the first iteration in a process a figure benchmark reads those caches
-// and times only the runs that are its own; with -benchtime=1x the
-// first benchmark to need a shared run pays for it.
+// published numbers of this repository. Experiments share one run
+// cache, so after the first iteration in a process a figure benchmark
+// reads its runs from the cache and times only the work that follows
+// them; with -benchtime=1x the first benchmark to need a shared run
+// pays for it.
 //
 // Run everything with:
 //

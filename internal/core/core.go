@@ -8,8 +8,10 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"sync"
 
 	"aptget/internal/analysis"
 	"aptget/internal/cpu"
@@ -42,9 +44,11 @@ type Config struct {
 	Inject   passes.AptGetOptions
 	Static   passes.StaticOptions
 
-	// SkipVerify disables result verification (benchmark sweeps where
-	// the same workload is verified once already).
-	SkipVerify bool
+	// Runs, when non-nil, shares simulations between calls: a run whose
+	// program, initial memory, machine and cpu options match an earlier
+	// run through the same cache gets that run's counters and samples
+	// instead of simulating again. Nil simulates every run.
+	Runs *RunCache
 
 	// MaxInstructions bounds each execution (0 = the cpu default guard).
 	MaxInstructions uint64
@@ -114,25 +118,8 @@ func ProfileAndPlan(w Workload, cfg Config) (*profile.Profile, []analysis.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	sp := obs.Begin(w.Name()+"/apt-get", obs.StageProfile)
-	popt := cfg.Profile
-	popt.Obs = sp
-	res, err := cpu.Run(p, cfg.Machine, profileOptions(w, cfg))
-	if err != nil {
-		sp.End()
-		if res != nil {
-			res.Hier.Release()
-		}
-		return nil, nil, fmt.Errorf("core: profiling %s: %w", w.Name(), err)
-	}
-	res.Hier.Release()
-	prof := profile.FromRun(res, popt)
-	sp.End()
-	plans, err := analyze(w, p, prof, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prof, plans, nil
+	_, prof, plans, err := profileAndPlan(w, p, cfg)
+	return prof, plans, err
 }
 
 // BaselineAndPlans runs the unmodified program once with the profiling
@@ -146,14 +133,19 @@ func BaselineAndPlans(w Workload, cfg Config) (*Result, []analysis.Plan, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return baselineAndPlans(w, p, cfg)
+	base, _, plans, err := profileAndPlan(w, p, cfg)
+	return base, plans, err
 }
 
-// baselineAndPlans is BaselineAndPlans on an already built program.
-func baselineAndPlans(w Workload, p *ir.Program, cfg Config) (*Result, []analysis.Plan, error) {
-	res, err := simulate(w, p, cfg, "baseline", profileOptions(w, cfg))
+// profileAndPlan runs an already built program with the profiling
+// hardware armed and returns the run as a baseline result, its profile
+// and the plans derived from it.
+func profileAndPlan(w Workload, p *ir.Program, cfg Config) (*Result, *profile.Profile, []analysis.Plan, error) {
+	opts := profile.RunOptions(cfg.Profile)
+	opts.InitMem, opts.MaxInstructions = w.InitMem, cfg.MaxInstructions
+	res, err := simulate(w, p, cfg, "baseline", opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sp := obs.Begin(w.Name()+"/apt-get", obs.StageProfile)
 	popt := cfg.Profile
@@ -162,18 +154,9 @@ func baselineAndPlans(w Workload, p *ir.Program, cfg Config) (*Result, []analysi
 	sp.End()
 	plans, err := analyze(w, p, prof, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return &Result{Variant: "baseline", Counters: res.Counters}, plans, nil
-}
-
-// profileOptions arms the profiling hardware for a run of w under cfg's
-// instruction budget.
-func profileOptions(w Workload, cfg Config) cpu.Options {
-	o := profile.RunOptions(cfg.Profile)
-	o.InitMem = w.InitMem
-	o.MaxInstructions = cfg.MaxInstructions
-	return o
+	return &Result{Variant: "baseline", Counters: res.Counters}, prof, plans, nil
 }
 
 // analyze runs the analytical model on a profile of p.
@@ -274,12 +257,57 @@ func execute(w Workload, p *ir.Program, cfg Config, variant string,
 	}, nil
 }
 
-// simulate runs p with opts under an execute span carrying the run's
-// counters, verifies the result and recycles the arena. The returned
-// run keeps its counters and samples but no simulated memory.
+// RunCache shares simulations between pipeline calls that set it as
+// Config.Runs. The simulator is deterministic, so a run is a function of
+// what it reads, and the cache simulates each such key once: later calls
+// get the first run's verified counters and samples, never its memory
+// hierarchy. The zero value is ready to use by concurrent callers.
+type RunCache struct {
+	runs sync.Map // runKey -> *memo
+}
+
+// memo is one cached run; once guards its single simulation, so
+// concurrent callers asking for the same run wait for one.
+type memo struct {
+	once sync.Once
+	res  *cpu.Result
+	err  error
+}
+
+// runKey identifies a run of p by everything it reads: the program as
+// printed after PC assignment, its entry block and arena size, the
+// arena's bytes after InitMem (program text alone cannot tell two
+// same-sized inputs apart), the machine and the cpu options.
+func runKey(p *ir.Program, machine mem.Config, opts cpu.Options) [sha256.Size]byte {
+	p.Func.AssignPCs()
+	a := mem.NewArena(p.MemSize)
+	opts.InitMem(a)
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\nentry=%d mem=%d arena=%x\n%+v\nsample=%d pebs=%d lbr=%d max=%d\n",
+		p.Func, p.Func.Entry, p.MemSize, a.Sum256(), machine,
+		opts.SamplePeriod, opts.PEBSPeriod, opts.LBRWidth, opts.MaxInstructions)
+	a.Recycle()
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// simulate returns the run of p with opts, from cfg.Runs when it holds
+// the run and by simulating it otherwise.
 func simulate(w Workload, p *ir.Program, cfg Config, variant string, opts cpu.Options) (*cpu.Result, error) {
+	if cfg.Runs == nil {
+		return run(w, p, cfg.Machine, variant, opts)
+	}
+	v, _ := cfg.Runs.runs.LoadOrStore(runKey(p, cfg.Machine, opts), new(memo))
+	m := v.(*memo)
+	m.once.Do(func() { m.res, m.err = run(w, p, cfg.Machine, variant, opts) })
+	return m.res, m.err
+}
+
+// run simulates p with opts under an execute span carrying the run's
+// counters, verifies the result and recycles the arena. The returned
+// run keeps its counters and samples but no memory hierarchy.
+func run(w Workload, p *ir.Program, machine mem.Config, variant string, opts cpu.Options) (*cpu.Result, error) {
 	sp := obs.Begin(w.Name()+"/"+variant, obs.StageExecute)
-	res, err := cpu.Run(p, cfg.Machine, opts)
+	res, err := cpu.Run(p, machine, opts)
 	if err != nil {
 		sp.End()
 		// An execution error still returns the hierarchy; recycle its
@@ -296,16 +324,15 @@ func simulate(w Workload, p *ir.Program, cfg Config, variant string, opts cpu.Op
 		}
 	}
 	sp.End()
-	if !cfg.SkipVerify {
-		if err := w.Verify(res.Hier.Arena); err != nil {
-			res.Hier.Release()
-			return nil, fmt.Errorf("core: %s (%s) computed a wrong result: %w",
-				w.Name(), variant, err)
-		}
-	}
-	// Verification was the last reader of the simulated memory: recycle
+	// Verification is the last reader of the simulated memory: recycle
 	// the arena for the next run of this workload size.
+	err = w.Verify(res.Hier.Arena)
 	res.Hier.Release()
+	res.Hier = nil
+	if err != nil {
+		return nil, fmt.Errorf("core: %s (%s) computed a wrong result: %w",
+			w.Name(), variant, err)
+	}
 	return res, nil
 }
 
@@ -349,7 +376,7 @@ func Compare(w Workload, cfg Config) (*Comparison, error) {
 			c.Static, err = runStatic(w, progs[0], cfg)
 			return err
 		}
-		base, plans, err := baselineAndPlans(w, progs[1], cfg)
+		base, _, plans, err := profileAndPlan(w, progs[1], cfg)
 		if err != nil {
 			return err
 		}

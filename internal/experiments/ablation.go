@@ -61,9 +61,9 @@ func Ablation(o Options) (*AblationResult, error) {
 		return nil, err
 	}
 
-	runs, err := runner.Map(len(ablationVariants)*len(entries), func(j int) (*core.Result, error) {
+	ablated, err := runner.Map(len(ablationVariants)*len(entries), func(j int) (*core.Result, error) {
 		v, e := ablationVariants[j/len(entries)], entries[j%len(entries)]
-		cfg := core.DefaultConfig()
+		cfg := evalConfig()
 		v.mut(&cfg)
 		r, err := core.RunPipeline(e.New(), cfg)
 		if err != nil {
@@ -85,7 +85,7 @@ func Ablation(o Options) (*AblationResult, error) {
 	}
 	res.Rows = append(res.Rows, row("full APT-GET", func(ai int) *core.Result { return cmps[ai].AptGet }))
 	for vi, v := range ablationVariants {
-		res.Rows = append(res.Rows, row(v.name, func(ai int) *core.Result { return runs[vi*len(entries)+ai] }))
+		res.Rows = append(res.Rows, row(v.name, func(ai int) *core.Result { return ablated[vi*len(entries)+ai] }))
 	}
 	return res, nil
 }
@@ -122,9 +122,10 @@ type LBRWidthResult struct {
 
 // LBRWidth runs the sensitivity study on BFS: one job per ring depth,
 // each profiling and re-running its own BFS instance, against the BFS
-// comparison's baseline.
+// comparison's baseline. Width 32 is the default depth, so its runs are
+// the comparison's.
 func LBRWidth(o Options) (*LBRWidthResult, error) {
-	cfg := core.DefaultConfig()
+	cfg := evalConfig()
 	e, _ := workloads.ByKey("BFS")
 	cmp, err := comparison(e)
 	if err != nil {

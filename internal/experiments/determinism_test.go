@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"aptget/internal/core"
@@ -11,24 +10,17 @@ import (
 	"aptget/internal/workloads"
 )
 
-// forget empties the shared-run memos, so the next experiment simulates
-// its comparisons and distance sweeps afresh.
-func forget() {
-	for _, m := range []*sync.Map{&comparisons, &sweeps} {
-		m.Range(func(k, _ any) bool {
-			m.Delete(k)
-			return true
-		})
-	}
-}
+// forget empties the run cache, so the next experiment simulates every
+// run afresh.
+func forget() { runs = new(core.RunCache) }
 
 // TestSerialParallelByteIdentical asserts the core guarantee of the
 // parallel run engine: experiment output is byte-identical at any worker
 // pool width. fig1 exercises the micro distance sweeps (nested
 // series/distance fan-out); fig9 exercises the per-app comparisons (the
 // Ainsworth & Jones chain beside the profiled baseline → APT-GET chain)
-// and the forced-distance sweep fanned out within each app. The memos
-// are emptied before each width, so both widths simulate every run
+// and the forced-distance sweep fanned out within each app. The run
+// cache is emptied before each width, so both widths simulate every run
 // rather than the second reading the first one's results.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -56,23 +48,36 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 }
 
 // TestReusedRunsMatchFreshRuns holds the premise every shared run rests
-// on: an app's memoised comparison is the runs the experiments used to
-// simulate for themselves. Its baseline equals an unsampled baseline
-// run, its APT-GET plans equal BaselineAndPlans' (before and after the
-// APT-GET pass has run on them), and its APT-GET run equals a fresh run
-// of those plans.
+// on: an app's comparison read through the evaluation's run cache is the
+// comparison an uncached core.Compare simulates. Its baseline also
+// equals an unsampled, uncached baseline run, and its APT-GET plans are
+// the uncached comparison's (compared after the APT-GET pass has run on
+// them).
 func TestReusedRunsMatchFreshRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates each app three times beside its comparison")
+		t.Skip("simulates each app four more times beside its comparison")
 	}
 	cfg := core.DefaultConfig()
 	entries := apps(quickOpt())
 	if e, ok := workloads.ByKey("DFS"); ok {
 		entries = append(entries, e)
 	}
+	defer func(prev *core.RunCache) { runs = prev }(runs)
+	forget()
 	err := runner.Run(len(entries), func(i int) error {
 		e := entries[i]
-		cmp, err := comparison(e)
+		// An unsampled baseline enters the empty cache first: a run key
+		// that ignored the cpu options would hand it to the comparison's
+		// profiling run, which would then have no samples to plan from.
+		cachedBase, err := core.RunBaseline(e.New(), evalConfig())
+		if err != nil {
+			return err
+		}
+		cached, err := comparison(e)
+		if err != nil {
+			return err
+		}
+		fresh, err := core.Compare(e.New(), cfg)
 		if err != nil {
 			return err
 		}
@@ -80,25 +85,22 @@ func TestReusedRunsMatchFreshRuns(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if got, want := fmt.Sprintf("%+v", cmp.Base.Counters), fmt.Sprintf("%+v", base.Counters); got != want {
-			return fmt.Errorf("%s: reused baseline differs from a fresh baseline run\nreused %s\nfresh  %s", e.Key, got, want)
+		for _, r := range []struct {
+			name          string
+			cached, fresh *core.Result
+		}{
+			{"baseline", cached.Base, fresh.Base},
+			{"unsampled baseline", cached.Base, base},
+			{"cached unsampled baseline", cachedBase, base},
+			{"Ainsworth & Jones", cached.Static, fresh.Static},
+			{"APT-GET", cached.AptGet, fresh.AptGet},
+		} {
+			if got, want := fmt.Sprintf("%+v", r.cached.Counters), fmt.Sprintf("%+v", r.fresh.Counters); got != want {
+				return fmt.Errorf("%s: cached %s run differs from a fresh one\ncached %s\nfresh  %s", e.Key, r.name, got, want)
+			}
 		}
-		_, plans, err := core.BaselineAndPlans(e.New(), cfg)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(cmp.AptGet.Plans, plans) {
-			return fmt.Errorf("%s: reused plans differ from BaselineAndPlans'\nreused %+v\nfresh  %+v", e.Key, cmp.AptGet.Plans, plans)
-		}
-		run, err := core.RunWithPlans(e.New(), plans, cfg)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(cmp.AptGet.Plans, plans) {
-			return fmt.Errorf("%s: plans changed under the APT-GET pass", e.Key)
-		}
-		if got, want := fmt.Sprintf("%+v", cmp.AptGet.Counters), fmt.Sprintf("%+v", run.Counters); got != want {
-			return fmt.Errorf("%s: reused APT-GET run differs from a fresh run of its plans\nreused %s\nfresh  %s", e.Key, got, want)
+		if !reflect.DeepEqual(cached.AptGet.Plans, fresh.AptGet.Plans) {
+			return fmt.Errorf("%s: cached plans differ from a fresh comparison's\ncached %+v\nfresh  %+v", e.Key, cached.AptGet.Plans, fresh.AptGet.Plans)
 		}
 		return nil
 	})

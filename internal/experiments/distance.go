@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"aptget/internal/core"
 	"aptget/internal/runner"
@@ -41,40 +40,35 @@ type distanceSweep struct {
 	LBRSpeedup  float64
 }
 
-// sweeps memoises sweep: app key -> *memo[*distanceSweep].
-var sweeps sync.Map
-
 // sweep returns the app's distance sweep. The baseline, the plans and
-// the LBR-distance run come from the app's comparison; only the pinned
-// distances are simulated here, one job each.
+// the LBR-distance run come from the app's comparison; the pinned
+// distances are one job each.
 func sweep(e workloads.Entry) (*distanceSweep, error) {
-	return memoised(&sweeps, e.Key, func() (*distanceSweep, error) {
-		cmp, err := comparison(e)
+	cmp, err := comparison(e)
+	if err != nil {
+		return nil, err
+	}
+	plans := cmp.AptGet.Plans
+	s := &distanceSweep{Key: e.Key, LBRSpeedup: cmp.AptGetSpeedup()}
+	if len(plans) > 0 {
+		s.LBRDistance = plans[0].Distance
+	}
+	sps, err := runner.Map(len(fig8Distances), func(j int) (float64, error) {
+		d := fig8Distances[j]
+		r, err := core.RunWithPlans(e.New(), forceDistance(plans, d), evalConfig())
 		if err != nil {
-			return nil, err
+			return 0, fmt.Errorf("distance sweep %s D=%d: %w", e.Key, d, err)
 		}
-		plans := cmp.AptGet.Plans
-		s := &distanceSweep{Key: e.Key, LBRSpeedup: cmp.AptGetSpeedup()}
-		if len(plans) > 0 {
-			s.LBRDistance = plans[0].Distance
-		}
-		sps, err := runner.Map(len(fig8Distances), func(j int) (float64, error) {
-			d := fig8Distances[j]
-			r, err := core.RunWithPlans(e.New(), forceDistance(plans, d), core.DefaultConfig())
-			if err != nil {
-				return 0, fmt.Errorf("distance sweep %s D=%d: %w", e.Key, d, err)
-			}
-			return r.Speedup(cmp.Base), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.Speedups = make(map[int64]float64, len(sps))
-		for j, d := range fig8Distances {
-			s.Speedups[d] = sps[j]
-		}
-		return s, nil
+		return r.Speedup(cmp.Base), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	s.Speedups = make(map[int64]float64, len(sps))
+	for j, d := range fig8Distances {
+		s.Speedups[d] = sps[j]
+	}
+	return s, nil
 }
 
 // sweepAll returns the distance sweep of every app, in registry order.

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"aptget/internal/analysis"
@@ -26,7 +25,7 @@ const (
 )
 
 // Options configures an experiment run. Every experiment runs the
-// evaluation's pipeline configuration, core.DefaultConfig.
+// evaluation's pipeline configuration, evalConfig.
 type Options struct {
 	// Quick restricts app sweeps to a representative subset (used by
 	// -short test runs).
@@ -61,44 +60,28 @@ func table(header []string, rows [][]string) string {
 	return sb.String()
 }
 
-// ---------------------------------------------------------------------
-// Runs shared between experiments. Figures 5, 6, 7 and 11 are
-// projections of one three-way comparison per app; Figures 8–10, the
-// ablation and the LBR-width study take their baselines and plans from
-// it, and Figures 8 and 9 read one static-distance sweep per app. Each
-// is memoised per app key, so a run two experiments share is simulated
-// once per process.
+// runs is the evaluation's run cache: experiments reach every
+// simulation through evalConfig, so a run two experiments (or two cells
+// of one) share is simulated once per process.
+var runs = new(core.RunCache)
 
-// memo is one memoised value; once guards its single computation, so
-// concurrent callers asking for the same key wait for one run.
-type memo[T any] struct {
-	once sync.Once
-	val  T
-	err  error
+// evalConfig returns the evaluation's pipeline configuration,
+// core.DefaultConfig, sharing runs through the package's run cache.
+func evalConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Runs = runs
+	return cfg
 }
-
-// memoised returns m's value for key, computing it with f on first use.
-func memoised[T any](m *sync.Map, key string, f func() (T, error)) (T, error) {
-	v, _ := m.LoadOrStore(key, new(memo[T]))
-	e := v.(*memo[T])
-	e.once.Do(func() { e.val, e.err = f() })
-	return e.val, e.err
-}
-
-// comparisons memoises comparison: app key -> *memo[*core.Comparison].
-var comparisons sync.Map
 
 // comparison returns the app's baseline / Ainsworth & Jones / APT-GET
-// runs under the default configuration. The baseline is the profiling
-// run, and AptGet.Plans are the plans derived from it.
+// runs. The baseline is the profiling run, and AptGet.Plans are the
+// plans derived from it.
 func comparison(e workloads.Entry) (*core.Comparison, error) {
-	return memoised(&comparisons, e.Key, func() (*core.Comparison, error) {
-		cmp, err := core.Compare(e.New(), core.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", e.Key, err)
-		}
-		return cmp, nil
-	})
+	cmp, err := core.Compare(e.New(), evalConfig())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", e.Key, err)
+	}
+	return cmp, nil
 }
 
 // AppComparison holds one application's three-way run.

@@ -9,8 +9,7 @@ import (
 
 // The experiment tests assert the *shapes* the paper reports, not
 // absolute numbers (see EXPERIMENTS.md). Quick mode restricts the app
-// sweeps; the memoised per-app comparisons and distance sweeps are
-// shared across tests.
+// sweeps; the package's run cache shares simulations across tests.
 
 func quickOpt() Options { return Options{Quick: true} }
 
@@ -354,6 +353,42 @@ func TestLBRWidthShapes(t *testing.T) {
 	if shallow.Speedup <= 0.9 || deep.Speedup <= 0.9 {
 		t.Fatalf("plans should not regress at any width: %.2f / %.2f",
 			shallow.Speedup, deep.Speedup)
+	}
+}
+
+// TestLBRWidthDefaultRowIsFig8 holds the width-32 row to Fig 8's BFS
+// LBR column: 32 is the default record depth, so the row is the BFS
+// comparison's profiling run, plans and APT-GET run.
+func TestLBRWidthDefaultRowIsFig8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("width and distance sweeps are slow in -short mode")
+	}
+	lw, err := LBRWidth(quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f8, err := Fig8(quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row *LBRWidthRow
+	for i := range lw.Rows {
+		if lw.Rows[i].Width == 32 {
+			row = &lw.Rows[i]
+		}
+	}
+	var bfs *Fig8Row
+	for i := range f8.Rows {
+		if f8.Rows[i].Key == "BFS" {
+			bfs = &f8.Rows[i]
+		}
+	}
+	if row == nil || bfs == nil {
+		t.Fatalf("width-32 row (%v) or Fig 8 BFS row (%v) missing", row, bfs)
+	}
+	if row.Distance != bfs.LBRDistance || row.Speedup != bfs.AptGetSpeedup {
+		t.Fatalf("width 32: distance %d speedup %v; Fig 8 BFS LBR: distance %d speedup %v",
+			row.Distance, row.Speedup, bfs.LBRDistance, bfs.AptGetSpeedup)
 	}
 }
 

@@ -81,7 +81,7 @@ func fig12Pairs(o Options) []fig12Pair {
 // the same-input and cross-input evaluations fan out once the plans
 // exist.
 func Fig12(o Options) (*Fig12Result, error) {
-	cfg := core.DefaultConfig()
+	cfg := evalConfig()
 	pairs := fig12Pairs(o)
 	rows, err := runner.Map(len(pairs), func(i int) (Fig12Row, error) {
 		p := pairs[i]

@@ -26,7 +26,7 @@ type Table1Result struct {
 // Table1 runs the experiment. The baseline and the three distances are
 // four independent jobs on the runner pool.
 func Table1(o Options) (*Table1Result, error) {
-	cfg := core.DefaultConfig()
+	cfg := evalConfig()
 	distances := []int64{1, 64, 1024}
 
 	rows, err := runner.Map(1+len(distances), func(i int) (Table1Row, error) {
@@ -131,7 +131,7 @@ func Fig2(o Options) (*Fig2Result, error) {
 // on the pool, and reduces the speedup curve in distance order (so the
 // reported optimum ties break exactly as the serial loop did).
 func microSweep(o Options, inner int64, c workloads.Complexity, distances []int64) (DistanceSweepSeries, error) {
-	cfg := core.DefaultConfig()
+	cfg := evalConfig()
 	s := DistanceSweepSeries{
 		Label:     c.String(),
 		Distances: distances,

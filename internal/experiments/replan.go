@@ -40,7 +40,7 @@ func Replan(o Options) (*ReplanResult, error) {
 	if o.Quick {
 		keys = []string{"phaseSG", "phaseFlat"}
 	}
-	cfg := core.DefaultConfig()
+	cfg := evalConfig()
 
 	rows, err := runner.Map(len(keys), func(i int) (*ReplanRow, error) {
 		e, ok := workloads.ByKey(keys[i])

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"aptget/internal/core"
-	"aptget/internal/mem"
 	"aptget/internal/pebs"
 	"aptget/internal/profile"
 	"aptget/internal/runner"
@@ -94,28 +93,22 @@ func Selection(o Options) (*SelectionResult, error) {
 		}
 		entries[i] = e
 	}
-	cfg0 := core.DefaultConfig()
+	cfg0 := evalConfig()
 	cfg0.Profile.PEBSPeriod = selectionPEBSPeriod
-	bases, err := runner.Map(len(entries), func(i int) (*core.Result, error) {
-		base, err := core.RunBaseline(entries[i].New(), cfg0)
-		if err != nil {
-			return nil, fmt.Errorf("selection %s: %w", keys[i], err)
-		}
-		return base, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	cells, err := runner.Map(len(entries)*len(thresholds), func(j int) (SelectionCell, error) {
 		e, th := entries[j/len(thresholds)], thresholds[j%len(thresholds)]
 		cfg := cfg0
 		cfg.Profile.MinLoadSCKPI = th
-		r, err := core.RunPipeline(e.New(), cfg)
+		// The gate acts after the profiling run, so an app's cells share
+		// that run; it is also their baseline.
+		base, plans, err := core.BaselineAndPlans(e.New(), cfg)
 		if err != nil {
 			return SelectionCell{}, fmt.Errorf("selection %s@%.0f: %w", e.Key, th, err)
 		}
-		base := bases[j/len(thresholds)]
+		r, err := core.RunWithPlans(e.New(), plans, cfg)
+		if err != nil {
+			return SelectionCell{}, fmt.Errorf("selection %s@%.0f: %w", e.Key, th, err)
+		}
 		return SelectionCell{
 			App:           e.Key,
 			Threshold:     th,
@@ -146,20 +139,14 @@ func lsmGateContrast(cfg core.Config) ([]SelectionGate, error) {
 		return nil, fmt.Errorf("selection: LSM kernel missing")
 	}
 	w := e.New()
+	cfg.Profile.MinLoadSCKPI = -1 // collect every candidate; gates applied below
+	prof, _, err := core.ProfileAndPlan(w, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("selection: profiling LSM: %w", err)
+	}
 	p, err := w.Build()
 	if err != nil {
 		return nil, err
-	}
-	popt := cfg.Profile
-	popt.PEBSPeriod = selectionPEBSPeriod
-	popt.MinLoadSCKPI = -1 // collect every candidate; gates applied below
-	machine := cfg.Machine
-	if machine.Name == "" {
-		machine = mem.ConfigScaled()
-	}
-	prof, err := profile.Collect(p, machine, w.InitMem, popt)
-	if err != nil {
-		return nil, fmt.Errorf("selection: profiling LSM: %w", err)
 	}
 	name := func(pc uint64) string {
 		for vi := range p.Func.Instrs {

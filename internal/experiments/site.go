@@ -57,7 +57,7 @@ func fig10Apps(o Options) []workloads.Entry {
 // forced-outer runs fanned out within each. The baseline and the plans
 // are the app's comparison's.
 func Fig10(o Options) (*Fig10Result, error) {
-	cfg := core.DefaultConfig()
+	cfg := evalConfig()
 	entries := fig10Apps(o)
 	rows, err := runner.Map(len(entries), func(i int) (Fig10Row, error) {
 		e := entries[i]

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -109,6 +110,9 @@ func PoolLen(size int64) int {
 
 // Size returns the arena size in bytes.
 func (a *Arena) Size() int64 { return int64(len(a.data)) }
+
+// Sum256 returns the SHA-256 of the arena's bytes.
+func (a *Arena) Sum256() [sha256.Size]byte { return sha256.Sum256(a.data) }
 
 // check panics unless [addr, addr+size) lies inside the arena. It
 // compares against len-size rather than computing addr+size, which

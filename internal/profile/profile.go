@@ -74,6 +74,9 @@ func (o *Options) fill() {
 	if o.MinLoadMPKI == 0 {
 		o.MinLoadMPKI = 0.5
 	}
+	if o.LBRWidth == 0 {
+		o.LBRWidth = lbr.Width
+	}
 }
 
 // Profile is the result of a profiling run.

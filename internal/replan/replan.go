@@ -318,12 +318,10 @@ func Run(w core.Workload, initial []analysis.Plan, cfg core.Config, opt Options)
 	}
 
 	res := st.Result()
-	if !cfg.SkipVerify {
-		if err := w.Verify(res.Hier.Arena); err != nil {
-			res.Hier.Release()
-			return nil, fmt.Errorf("replan: %s computed a wrong result after %d swaps: %w",
-				w.Name(), out.Swaps, err)
-		}
+	if err := w.Verify(res.Hier.Arena); err != nil {
+		res.Hier.Release()
+		return nil, fmt.Errorf("replan: %s computed a wrong result after %d swaps: %w",
+			w.Name(), out.Swaps, err)
 	}
 	res.Hier.Release()
 	out.Counters = res.Counters

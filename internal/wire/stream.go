@@ -548,14 +548,3 @@ func PlanSetHeader(data []byte) (app string, plans int, err error) {
 	}
 	return app, plans, nil
 }
-
-// DecodePlanSetFrom parses exactly one canonical plan-set frame from r,
-// mirroring DecodeProfileFrom.
-func DecodePlanSetFrom(r io.Reader) (*PlanSet, Fingerprint, error) {
-	s := stream{src: r, sum: sha256.New()}
-	ps := s.decodePlanSet()
-	if err := s.finish(); err != nil {
-		return nil, "", err
-	}
-	return ps, Fingerprint(hex.EncodeToString(s.sum.Sum(nil)[:fpBytes])), nil
-}

@@ -54,25 +54,6 @@ func TestDecodeProfileFromMatchesDecodeProfile(t *testing.T) {
 	}
 }
 
-func TestDecodePlanSetFromMatchesDecodePlanSet(t *testing.T) {
-	ps := samplePlanSet()
-	data := EncodePlanSet(ps)
-	want, err := DecodePlanSet(data)
-	if err != nil {
-		t.Fatalf("DecodePlanSet: %v", err)
-	}
-	got, fp, err := DecodePlanSetFrom(iotest.OneByteReader(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatalf("DecodePlanSetFrom: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("stream decode differs from in-memory decode")
-	}
-	if fp != FingerprintBytes(data) {
-		t.Fatalf("fingerprint %s, want %s", fp, FingerprintBytes(data))
-	}
-}
-
 func TestDecodeProfileFromRejects(t *testing.T) {
 	data := EncodeProfile(benchProfile(8))
 
