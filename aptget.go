@@ -97,5 +97,7 @@ func Workloads() []WorkloadEntry { return workloads.Registry() }
 func WorkloadByKey(key string) (WorkloadEntry, bool) { return workloads.ByKey(key) }
 
 // Experiments returns the table/figure regeneration registry
-// (DESIGN.md §4).
+// (DESIGN.md §4). Its runners share one process-wide run cache: each
+// distinct simulation runs once, and its counters and samples stay in
+// memory until the process exits.
 func Experiments() map[string]experiments.Runner { return experiments.All() }

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"aptget/internal/cpu"
+	"aptget/internal/ir"
+	"aptget/internal/mem"
 	"aptget/internal/pmu"
 )
 
@@ -85,6 +88,96 @@ func TestRunCacheKeysOnSampling(t *testing.T) {
 		}
 		if len(want.Loads) == 0 || !reflect.DeepEqual(got.Loads, want.Loads) {
 			t.Fatalf("PEBS period %d: cached loads %+v, uncached %+v", period, got.Loads, want.Loads)
+		}
+	}
+}
+
+// keyProgram builds a loop holding every kind of instruction field the
+// simulator reads: constants, operands, a select's third operand, a
+// compare predicate, load and store sizes, phi predecessors and branch
+// successors.
+func keyProgram() *ir.Program {
+	b := ir.NewBuilder("key")
+	arr := b.Alloc("A", 64, 8)
+	zero := b.Const(0)
+	b.Loop("i", zero, b.Const(64), 1, func(i ir.Value) {
+		x := b.LoadElem(arr, i)
+		y := b.Select(b.Cmp(ir.PredLT, x, i), x, i)
+		b.PrefetchElem(arr, y)
+		b.StoreElem(arr, i, b.Add(y, zero))
+	})
+	return b.Finish()
+}
+
+// first returns the first instruction of f with op.
+func first(t *testing.T, f *ir.Func, op ir.Op) *ir.Instr {
+	for i := range f.Instrs {
+		if f.Instrs[i].Op == op {
+			return &f.Instrs[i]
+		}
+	}
+	t.Fatalf("keyProgram has no %s", op)
+	return nil
+}
+
+// TestRunKeyCoversWhatTheSimulatorReads: the run key prints the program
+// with ir.Func.String, so a field the simulator reads but the printer
+// leaves out would hand one program's run to another. Each edit below
+// changes one thing a run reads and must change the key.
+func TestRunKeyCoversWhatTheSimulatorReads(t *testing.T) {
+	machine := mem.ConfigScaled()
+	opts := cpu.Options{InitMem: func(*mem.Arena) {}}
+	key := func(edit func(*ir.Program, *mem.Config, *cpu.Options)) [32]byte {
+		p, m, o := keyProgram(), machine, opts
+		edit(p, &m, &o)
+		return runKey(p, m, o)
+	}
+	base := key(func(*ir.Program, *mem.Config, *cpu.Options) {})
+	if key(func(*ir.Program, *mem.Config, *cpu.Options) {}) != base {
+		t.Fatal("two builds of one program should share a key")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*ir.Program, *mem.Config, *cpu.Options)
+	}{
+		{"opcode", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { first(t, p.Func, ir.OpAdd).Op = ir.OpSub }},
+		{"operand", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) {
+			ins := first(t, p.Func, ir.OpAdd)
+			ins.Args[1] = ins.Args[0]
+		}},
+		{"select's third operand", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) {
+			ins := first(t, p.Func, ir.OpSelect)
+			ins.Args[2] = ins.Args[1]
+		}},
+		{"constant", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { first(t, p.Func, ir.OpConst).Imm++ }},
+		{"predicate", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { first(t, p.Func, ir.OpCmp).Pred = ir.PredEQ }},
+		{"load size", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { first(t, p.Func, ir.OpLoad).Size = 4 }},
+		{"store size", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { first(t, p.Func, ir.OpStore).Size = 4 }},
+		{"phi predecessors", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) {
+			pp := first(t, p.Func, ir.OpPhi).PhiPreds
+			pp[0], pp[1] = pp[1], pp[0]
+		}},
+		{"branch successors", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) {
+			b := p.Func.Blocks[first(t, p.Func, ir.OpBr).Block]
+			b.Succs[0], b.Succs[1] = b.Succs[1], b.Succs[0]
+		}},
+		{"instruction order", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) {
+			b := p.Func.Blocks[first(t, p.Func, ir.OpStore).Block]
+			b.Instrs[0], b.Instrs[1] = b.Instrs[1], b.Instrs[0]
+		}},
+		{"entry block", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { p.Func.Entry++ }},
+		{"arena size", func(p *ir.Program, _ *mem.Config, _ *cpu.Options) { p.MemSize += 8 }},
+		{"arena contents", func(_ *ir.Program, _ *mem.Config, o *cpu.Options) {
+			o.InitMem = func(a *mem.Arena) { a.Write(0, 1, 8) }
+		}},
+		{"machine", func(_ *ir.Program, m *mem.Config, _ *cpu.Options) { m.DRAMLatency++ }},
+		{"sample period", func(_ *ir.Program, _ *mem.Config, o *cpu.Options) { o.SamplePeriod = 1000 }},
+		{"PEBS period", func(_ *ir.Program, _ *mem.Config, o *cpu.Options) { o.PEBSPeriod = 13 }},
+		{"LBR width", func(_ *ir.Program, _ *mem.Config, o *cpu.Options) { o.LBRWidth = 64 }},
+		{"instruction cap", func(_ *ir.Program, _ *mem.Config, o *cpu.Options) { o.MaxInstructions = 1 << 20 }},
+	} {
+		if key(c.edit) == base {
+			t.Errorf("changing the %s leaves the run key unchanged", c.name)
 		}
 	}
 }

@@ -50,12 +50,13 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 // TestReusedRunsMatchFreshRuns holds the premise every shared run rests
 // on: an app's comparison read through the evaluation's run cache is the
 // comparison an uncached core.Compare simulates. Its baseline also
-// equals an unsampled, uncached baseline run, and its APT-GET plans are
-// the uncached comparison's (compared after the APT-GET pass has run on
-// them).
+// equals an unsampled, uncached baseline run. Its APT-GET plans, which
+// the distance sweep and Figure 10 read after the APT-GET pass has run
+// on them, equal BaselineAndPlans' plans before and after a pass: the
+// pass leaves its plans unchanged.
 func TestReusedRunsMatchFreshRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates each app four more times beside its comparison")
+		t.Skip("simulates each app six more times beside its comparison")
 	}
 	cfg := core.DefaultConfig()
 	entries := apps(quickOpt())
@@ -101,6 +102,25 @@ func TestReusedRunsMatchFreshRuns(t *testing.T) {
 		}
 		if !reflect.DeepEqual(cached.AptGet.Plans, fresh.AptGet.Plans) {
 			return fmt.Errorf("%s: cached plans differ from a fresh comparison's\ncached %+v\nfresh  %+v", e.Key, cached.AptGet.Plans, fresh.AptGet.Plans)
+		}
+		_, plans, err := core.BaselineAndPlans(e.New(), cfg)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(cached.AptGet.Plans, plans) {
+			return fmt.Errorf("%s: cached plans differ from BaselineAndPlans'\ncached %+v\nfresh  %+v", e.Key, cached.AptGet.Plans, plans)
+		}
+		// The pass runs before the cache is consulted, so this run costs
+		// no simulation yet still passes plans through the APT-GET pass.
+		run, err := core.RunWithPlans(e.New(), plans, evalConfig())
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(cached.AptGet.Plans, plans) {
+			return fmt.Errorf("%s: plans changed under the APT-GET pass", e.Key)
+		}
+		if got, want := fmt.Sprintf("%+v", run.Counters), fmt.Sprintf("%+v", cached.AptGet.Counters); got != want {
+			return fmt.Errorf("%s: a run of BaselineAndPlans' plans differs from the cached APT-GET run\nrun    %s\ncached %s", e.Key, got, want)
 		}
 		return nil
 	})

@@ -62,7 +62,9 @@ func table(header []string, rows [][]string) string {
 
 // runs is the evaluation's run cache: experiments reach every
 // simulation through evalConfig, so a run two experiments (or two cells
-// of one) share is simulated once per process.
+// of one) share is simulated once per process. Entries are never
+// evicted, so a process that keeps running experiments keeps every
+// run's counters and samples.
 var runs = new(core.RunCache)
 
 // evalConfig returns the evaluation's pipeline configuration,

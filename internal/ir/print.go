@@ -6,7 +6,9 @@ import (
 )
 
 // String renders the function in a readable assembly-like form, used by
-// tests and the CLI's -dump flag.
+// tests and the CLI's -dump flag. It is also the program part of
+// core.RunCache's run key, so it must print every field the simulator
+// reads (core's TestRunKeyCoversWhatTheSimulatorReads holds it to that).
 func (f *Func) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s:\n", f.Name)
@@ -23,7 +25,9 @@ func (f *Func) String() string {
 	return sb.String()
 }
 
-// InstrString renders one instruction.
+// InstrString renders one instruction, with every field the simulator
+// reads (see String). A prefetch prints no size: the simulator fetches
+// the whole line whatever its size.
 func (f *Func) InstrString(v Value) string {
 	ins := &f.Instrs[v]
 	name := ""
