@@ -68,15 +68,10 @@ type corpusItem struct {
 	fp   wire.Fingerprint
 }
 
-// loadgenStats is the measurement a load run produces, independent of
-// the printed report (the serve benchmark reuses it).
+// loadgenStats counts how a load run's requests ended.
 type loadgenStats struct {
 	OK, Rejected, Failed int64
 	Dropped              int64 // open loop: arrivals past the outstanding cap
-	Offered              float64
-	Elapsed              time.Duration
-	Latency              peaks.Summary    // per-request POST+GET milliseconds
-	Outcomes             map[string]int64 // ingest outcome -> count (ok requests)
 }
 
 // DropRejectRate is the fraction of offered requests not served OK —
@@ -93,7 +88,7 @@ func (s *loadgenStats) DropRejectRate() float64 {
 // only for hard failures (unreachable server, corrupted responses).
 // Backpressure rejections are measurement, not failure — they are
 // reported and left to the caller to judge.
-func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
+func runLoadgen(opt loadgenOptions, stdout io.Writer) error {
 	if opt.Clients <= 0 {
 		opt.Clients = 32
 	}
@@ -111,11 +106,11 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 	for _, key := range opt.Corpus {
 		e, ok := workloads.ByKey(key)
 		if !ok {
-			return nil, fmt.Errorf("loadgen: unknown workload %q (use aptget -list)", key)
+			return fmt.Errorf("loadgen: unknown workload %q (use aptget -list)", key)
 		}
 		_, body, err := service.CollectProfile(e, core.DefaultConfig())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		corpus = append(corpus, corpusItem{
 			app: key, body: body, fp: wire.FingerprintBytes(body),
@@ -134,7 +129,7 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 		srv := service.New(service.Config{MaxInflight: inflight})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -166,11 +161,11 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 			opt.Relocate)
 		for i := range corpus {
 			if err := warmProfile(client, base, corpus[i]); err != nil {
-				return nil, fmt.Errorf("loadgen: warmup %s: %w", corpus[i].app, err)
+				return fmt.Errorf("loadgen: warmup %s: %w", corpus[i].app, err)
 			}
 			reloc, err := relocateProfile(corpus[i].body, opt.Relocate)
 			if err != nil {
-				return nil, fmt.Errorf("loadgen: relocating %s: %w", corpus[i].app, err)
+				return fmt.Errorf("loadgen: relocating %s: %w", corpus[i].app, err)
 			}
 			corpus[i] = corpusItem{
 				app: corpus[i].app, body: reloc, fp: wire.FingerprintBytes(reloc),
@@ -333,37 +328,29 @@ func runLoadgen(opt loadgenOptions, stdout io.Writer) (*loadgenStats, error) {
 		"latency ms (POST profile + GET plans): mean=%.2f P50=%.2f P90=%.2f P99=%.2f max=%.2f (n=%d)\n",
 		sum.Mean, sum.P50, sum.P90, sum.P99, sum.Max, sum.N)
 
-	stats := &loadgenStats{
+	stats := loadgenStats{
 		OK:       ok.Load(),
 		Rejected: rejected.Load(),
 		Failed:   failed.Load(),
 		Dropped:  dropped.Load(),
-		Offered:  opt.Rate,
-		Elapsed:  elapsed,
-		Latency:  sum,
-		Outcomes: map[string]int64{},
 	}
-	outcomes.Range(func(k, v any) bool {
-		stats.Outcomes[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
 	if opt.Rate > 0 {
 		fmt.Fprintf(stdout, "open loop: offered %.1f req/s, achieved %.1f req/s, drop/reject rate %.2f%%\n",
 			opt.Rate, float64(stats.OK)/elapsed.Seconds(), 100*stats.DropRejectRate())
 	}
 	if firstErr != nil {
-		return stats, fmt.Errorf("%d request(s) failed hard; first: %w", failed.Load(), firstErr)
+		return fmt.Errorf("%d request(s) failed hard; first: %w", failed.Load(), firstErr)
 	}
 	if opt.Relocate != 0 {
-		if n := stats.Outcomes["miss"]; n > 0 {
-			return stats, fmt.Errorf(
+		if v, loaded := outcomes.Load("miss"); loaded {
+			return fmt.Errorf(
 				"loadgen: %d relocated profile(s) re-ran analysis; stale-shape matching "+
-					"should have served every one from the warmed cache", n)
+					"should have served every one from the warmed cache", v.(*atomic.Int64).Load())
 		}
 		fmt.Fprintf(stdout, "relocate: all %d relocated requests served without re-analysis\n",
 			stats.OK)
 	}
-	return stats, nil
+	return nil
 }
 
 // warmProfile ingests one original profile and waits for its plans, so

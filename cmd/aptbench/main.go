@@ -5,7 +5,6 @@
 //	aptbench -exp fig6          # one experiment (see -list)
 //	aptbench -exp all           # everything (several minutes)
 //	aptbench -exp fig8 -quick   # representative app subset
-//	aptbench -bench             # perf-regression run -> BENCH_substrate.json
 //	aptbench -exp fig6 -report report.json   # machine-readable stage/plan records
 //	aptbench -exp fig6 -trace                # human-readable pipeline trace
 //	aptbench -loadgen -clients 32            # load-test a plan service (in-process)
@@ -38,8 +37,9 @@ func main() {
 
 // startProfiling starts a CPU profile and/or arranges a heap profile,
 // as requested; the returned stop function finalizes both. It works in
-// every mode (-exp, -bench, -loadgen) so any hot path can be inspected
-// with `go tool pprof` (see EXPERIMENTS.md for a worked session).
+// both modes (-exp, -loadgen), so any hot path either runs can be
+// inspected with `go tool pprof` (see EXPERIMENTS.md for a worked
+// session).
 func startProfiling(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -85,11 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "restrict sweeps to a representative app subset")
 	list := fs.Bool("list", false, "list experiment ids")
 	workers := fs.Int("workers", 0, "worker pool width (0 = GOMAXPROCS, 1 = serial)")
-	bench := fs.Bool("bench", false, "time every experiment + substrate microbenchmarks, write -benchout")
-	benchout := fs.String("benchout", "BENCH_substrate.json", "perf report path for -bench")
-	serveout := fs.String("serveout", "BENCH_serve.json", "serve-path perf report for -bench")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (any mode)")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit (any mode)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (-exp or -loadgen)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit (-exp or -loadgen)")
 	report := fs.String("report", "", "write per-stage/per-plan observability records to this JSON file")
 	trace := fs.Bool("trace", false, "print a human-readable pipeline trace after the experiments")
 	loadgen := fs.Bool("loadgen", false, "replay a profile corpus against a plan service and report throughput/latency")
@@ -118,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	if *loadgen {
-		_, err := runLoadgen(loadgenOptions{
+		err := runLoadgen(loadgenOptions{
 			Addr:     *addr,
 			Clients:  *clients,
 			Requests: *requests,
@@ -129,18 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Relocate: *relocate,
 		}, stdout)
 		if err != nil {
-			fmt.Fprintf(stderr, "aptbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *bench {
-		if err := runBench(*quick, *benchout); err != nil {
-			fmt.Fprintf(stderr, "aptbench: %v\n", err)
-			return 1
-		}
-		if err := runServeBench(*quick, *serveout); err != nil {
 			fmt.Fprintf(stderr, "aptbench: %v\n", err)
 			return 1
 		}

@@ -60,7 +60,11 @@ func DefaultConfig() Config {
 	return Config{Machine: mem.ConfigScaled()}
 }
 
-func (c *Config) fill() {
+// Fill applies the pipeline's defaults to zero fields: the scaled
+// machine, and an analysis DRAM latency taken from the machine. Every
+// pipeline entry point fills its Config, and so does the plan service,
+// which is what makes served plans byte-identical to the pipeline's.
+func (c *Config) Fill() {
 	if c.Machine.Name == "" {
 		c.Machine = mem.ConfigScaled()
 	}
@@ -91,7 +95,7 @@ func (r *Result) Speedup(base *Result) float64 {
 
 // RunBaseline executes the unmodified program.
 func RunBaseline(w Workload, cfg Config) (*Result, error) {
-	cfg.fill()
+	cfg.Fill()
 	p, err := build(w)
 	if err != nil {
 		return nil, err
@@ -102,7 +106,7 @@ func RunBaseline(w Workload, cfg Config) (*Result, error) {
 // RunStatic applies the Ainsworth & Jones static pass and executes the
 // result.
 func RunStatic(w Workload, cfg Config) (*Result, error) {
-	cfg.fill()
+	cfg.Fill()
 	p, err := build(w)
 	if err != nil {
 		return nil, err
@@ -113,7 +117,7 @@ func RunStatic(w Workload, cfg Config) (*Result, error) {
 // ProfileAndPlan runs the profiling build and the analytical model,
 // returning the prefetch plans (and the raw profile for inspection).
 func ProfileAndPlan(w Workload, cfg Config) (*profile.Profile, []analysis.Plan, error) {
-	cfg.fill()
+	cfg.Fill()
 	p, err := build(w)
 	if err != nil {
 		return nil, nil, err
@@ -128,7 +132,7 @@ func ProfileAndPlan(w Workload, cfg Config) (*profile.Profile, []analysis.Plan, 
 // baseline execution too: its verified counters are returned as the
 // baseline result, and the baseline is not simulated a second time.
 func BaselineAndPlans(w Workload, cfg Config) (*Result, []analysis.Plan, error) {
-	cfg.fill()
+	cfg.Fill()
 	p, err := build(w)
 	if err != nil {
 		return nil, nil, err
@@ -178,7 +182,7 @@ func analyze(w Workload, p *ir.Program, prof *profile.Profile, cfg Config) ([]an
 // workload, and the returned Result carries per-plan provenance so a
 // caller can audit why each distance and site was chosen.
 func RunPipeline(w Workload, cfg Config) (*Result, error) {
-	cfg.fill()
+	cfg.Fill()
 	_, plans, err := ProfileAndPlan(w, cfg)
 	if err != nil {
 		return nil, err
@@ -191,7 +195,7 @@ func RunPipeline(w Workload, cfg Config) (*Result, error) {
 // (Figure 12): plans computed on the training input are applied to a
 // workload with a different dataset.
 func RunWithPlans(w Workload, plans []analysis.Plan, cfg Config) (*Result, error) {
-	cfg.fill()
+	cfg.Fill()
 	p, err := build(w)
 	if err != nil {
 		return nil, err
@@ -360,7 +364,7 @@ func (c *Comparison) AptGetSpeedup() float64 { return c.AptGet.Speedup(c.Base) }
 // all three programs are built here first; the jobs then only read w,
 // through InitMem and Verify.
 func Compare(w Workload, cfg Config) (*Comparison, error) {
-	cfg.fill()
+	cfg.Fill()
 	var progs [3]*ir.Program
 	for i := range progs {
 		p, err := build(w)

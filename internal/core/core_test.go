@@ -382,7 +382,7 @@ func TestGeoMean(t *testing.T) {
 
 func TestConfigFillDefaults(t *testing.T) {
 	var cfg Config
-	cfg.fill()
+	cfg.Fill()
 	if cfg.Machine.Name == "" {
 		t.Fatal("machine default missing")
 	}

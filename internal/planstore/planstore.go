@@ -1,5 +1,5 @@
 // Package planstore is aptgetd's content-addressed plan cache: a
-// bounded in-memory LRU (Local) under two serving policies:
+// bounded in-memory LRU under two serving policies:
 //
 //   - Single-flight deduplication: N concurrent requests for one profile
 //     trigger exactly one analysis.
@@ -12,13 +12,15 @@
 package planstore
 
 import (
+	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"aptget/internal/wire"
 )
 
-// Key addresses one profile's plans.
+// Key addresses one profile's plans. Every producer derives Shape from
+// the bytes it fingerprints, so a Profile fingerprint fixes its key.
 type Key struct {
 	Profile wire.Fingerprint
 	Shape   wire.ShapeHash
@@ -73,13 +75,29 @@ type call struct {
 	err   error
 }
 
-// Store layers single-flight and stale-shape matching over a Local LRU.
+// entry is one cached plan set and the key it is stored under.
+type entry struct {
+	key Key
+	Entry
+}
+
+// Store is a bounded LRU of plan sets with two indexes — fingerprint
+// (exact lookups and the GET path) and loop-shape hash (the most recent
+// entry per structure, the stale-match path) — plus the computations
+// in flight.
+//
+// Invariant: at most one entry per fingerprint. A put whose fingerprint
+// is already stored refreshes the surviving element in place and
+// repoints the shape index at it, rather than inserting a duplicate.
 type Store struct {
-	mu       sync.Mutex // serializes the lookup→flight decision
-	lru      *Local
+	mu       sync.Mutex // guards ll, both indexes and inflight
+	capacity int
+	ll       *list.List                         // front = most recently used; values are *entry
+	byFP     map[wire.Fingerprint]*list.Element // exact lookup
+	byShape  map[wire.ShapeHash]*list.Element   // most recent entry per loop structure
 	inflight map[Key]*call
 
-	hits, staleMatches, misses atomic.Int64
+	hits, staleMatches, misses, evictions atomic.Int64
 }
 
 // DefaultCapacity bounds the cache when New is given a non-positive
@@ -89,53 +107,71 @@ const DefaultCapacity = 512
 // New returns a store holding at most capacity plan sets (≤0 selects
 // DefaultCapacity).
 func New(capacity int) *Store {
+	if capacity <= 0 {
+		capacity = DefaultCapacity
+	}
 	return &Store{
-		lru:      NewLocal(capacity),
+		capacity: capacity,
+		ll:       list.New(),
+		byFP:     make(map[wire.Fingerprint]*list.Element),
+		byShape:  make(map[wire.ShapeHash]*list.Element),
 		inflight: make(map[Key]*call),
 	}
 }
 
 // Len returns the number of cached plan sets.
-func (s *Store) Len() int { return s.lru.Len() }
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ll.Len()
+}
 
-// Counters exports the policy counters merged with the LRU's, under the
-// names /v1/metrics serves.
+// Counters exports the store's counters under the names /v1/metrics
+// serves.
 func (s *Store) Counters() map[string]int64 {
-	c := s.lru.Counters()
-	c["plan_cache_hits"] = s.hits.Load()
-	c["plan_cache_stale_matches"] = s.staleMatches.Load()
-	c["plan_cache_misses"] = s.misses.Load()
-	return c
+	return map[string]int64{
+		"plan_cache_hits":          s.hits.Load(),
+		"plan_cache_stale_matches": s.staleMatches.Load(),
+		"plan_cache_misses":        s.misses.Load(),
+		"plan_cache_evictions":     s.evictions.Load(),
+	}
 }
 
 // Get looks up plans by exact profile fingerprint (the GET /v1/plans
 // path). Does not count hits or misses; ingestion owns that accounting.
 func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
-	e, _, ok := s.lru.Lookup(fp)
-	return e, ok
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	en, ok := s.byFingerprint(fp)
+	if !ok {
+		return Entry{}, false
+	}
+	return en.Entry, true
 }
 
 // Hit serves an exact repeat by fingerprint alone, before the profile is
 // decoded: it returns the entry and the key it is stored under, and
-// counts a hit as GetOrCompute's exact-hit step does. An entry stored
-// without a shape is not served, since the ingest reply needs the
-// shape hash; the caller then decodes and calls GetOrCompute.
+// counts a hit as GetOrCompute's exact-hit step does.
 func (s *Store) Hit(fp wire.Fingerprint) (Entry, Key, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, key, ok := s.lru.Lookup(fp)
-	if !ok || key.Shape == "" {
+	en, ok := s.byFingerprint(fp)
+	if !ok {
 		return Entry{}, Key{}, false
 	}
 	s.hits.Add(1)
-	return e, key, true
+	return en.Entry, en.key, true
 }
 
 // Put stores externally computed plans under key, counting nothing.
 // Its caller is perfbench's traced serve replay
 // (perfbench/traced_serve.go), which seeds its cache with plans it
 // computed outside the store.
-func (s *Store) Put(key Key, e Entry) { s.lru.Put(key, e) }
+func (s *Store) Put(key Key, e Entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.put(key, e)
+}
 
 // TryGet serves key from the cache or a same-shape stale entry without
 // ever computing. Its caller is perfbench's traced serve replay
@@ -144,9 +180,9 @@ func (s *Store) Put(key Key, e Entry) { s.lru.Put(key, e) }
 func (s *Store) TryGet(key Key) ([]byte, Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.lru.LookupKey(key); ok {
+	if en, ok := s.byFingerprint(key.Profile); ok {
 		s.hits.Add(1)
-		return e.Plans, Result{Outcome: OutcomeHit, Source: e.Source}, true
+		return en.Plans, Result{Outcome: OutcomeHit, Source: en.Source}, true
 	}
 	if e, ok := s.staleMatch(key); ok {
 		return e.Plans, Result{Outcome: OutcomeStaleMatch, Source: e.Source}, true
@@ -161,10 +197,10 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	s.mu.Lock()
 
 	// 1. Exact hit.
-	if e, ok := s.lru.LookupKey(key); ok {
+	if en, ok := s.byFingerprint(key.Profile); ok {
 		s.hits.Add(1)
 		s.mu.Unlock()
-		return e.Plans, Result{Outcome: OutcomeHit, Source: e.Source}, nil
+		return en.Plans, Result{Outcome: OutcomeHit, Source: en.Source}, nil
 	}
 
 	// 2. Same key already being computed: wait for it rather than
@@ -199,7 +235,7 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	// than opening a second flight.
 	s.mu.Lock()
 	if c.err == nil {
-		s.lru.Put(key, Entry{Plans: c.plans, Source: c.src})
+		s.put(key, Entry{Plans: c.plans, Source: c.src})
 	}
 	delete(s.inflight, key)
 	s.mu.Unlock()
@@ -216,11 +252,51 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 // (and repeat ingests of this exact profile) hit exactly. The caller
 // holds s.mu and serves the plans verbatim, without analysis.
 func (s *Store) staleMatch(key Key) (Entry, bool) {
-	e, ok := s.lru.LookupShape(key.Shape)
+	el, ok := s.byShape[key.Shape]
 	if !ok {
 		return Entry{}, false
 	}
 	s.staleMatches.Add(1)
-	s.lru.Put(key, e)
+	s.ll.MoveToFront(el)
+	e := el.Value.(*entry).Entry
+	s.put(key, e)
 	return e, true
+}
+
+// byFingerprint finds fp's entry and marks it most recently used. The
+// caller holds s.mu.
+func (s *Store) byFingerprint(fp wire.Fingerprint) (*entry, bool) {
+	el, ok := s.byFP[fp]
+	if !ok {
+		return nil, false
+	}
+	s.ll.MoveToFront(el)
+	return el.Value.(*entry), true
+}
+
+// put stores plans under key at the LRU front, evicting past capacity.
+// An insert whose fingerprint is already cached refreshes the surviving
+// element in place and makes it the freshest of its shape. The caller
+// holds s.mu.
+func (s *Store) put(key Key, e Entry) {
+	if el, ok := s.byFP[key.Profile]; ok {
+		en := el.Value.(*entry)
+		en.Entry = e
+		s.byShape[en.key.Shape] = el
+		s.ll.MoveToFront(el)
+		return
+	}
+	el := s.ll.PushFront(&entry{key: key, Entry: e})
+	s.byFP[key.Profile] = el
+	s.byShape[key.Shape] = el
+	for s.ll.Len() > s.capacity {
+		back := s.ll.Back()
+		old := back.Value.(*entry)
+		s.ll.Remove(back)
+		delete(s.byFP, old.key.Profile)
+		if s.byShape[old.key.Shape] == back {
+			delete(s.byShape, old.key.Shape)
+		}
+		s.evictions.Add(1)
+	}
 }

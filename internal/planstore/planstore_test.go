@@ -92,15 +92,13 @@ func TestStaleMatchServesPriorPlansWithoutRecompute(t *testing.T) {
 }
 
 // TestHitByFingerprint: Hit answers from the fingerprint alone with the
-// stored key, keeps a stale alias's source, counts exactly the hits it
-// serves, and passes over an entry stored without a shape.
+// stored key, keeps a stale alias's source, and counts exactly the hits
+// it serves.
 func TestHitByFingerprint(t *testing.T) {
 	s := New(4)
 	orig, drifted := key(1, "shape-A"), key(2, "shape-A")
 	mustCompute(t, s, orig, 1)
 	mustCompute(t, s, drifted, 2) // stale match, aliased under drifted
-	shapeless := key(3, "")
-	s.Put(shapeless, Entry{Plans: plans(3), Source: shapeless.Profile})
 
 	for _, c := range []struct {
 		k   Key
@@ -111,9 +109,6 @@ func TestHitByFingerprint(t *testing.T) {
 			t.Fatalf("Hit(%s) = %q src %s key %+v ok %v; want plans-001 from %s under %+v",
 				c.k.Profile, e.Plans, e.Source, k, ok, c.src, c.k)
 		}
-	}
-	if _, _, ok := s.Hit(shapeless.Profile); ok {
-		t.Fatal("Hit served an entry stored without a shape")
 	}
 	if _, _, ok := s.Hit(key(4, "shape-A").Profile); ok {
 		t.Fatal("Hit served an unknown fingerprint")
@@ -229,38 +224,27 @@ func TestComputeErrorIsNotCached(t *testing.T) {
 	}
 }
 
-// checkConsistent verifies the Local backend's structural invariants:
-// every index entry points at a live list element, the exact-key and
-// fingerprint indexes are exactly one per element, and Len agrees with
-// all of them.
-func checkConsistent(t *testing.T, b *Local) {
+// checkConsistent verifies the store's structural invariants: every
+// index entry points at a live list element under its own key, the
+// fingerprint index holds exactly one per element, and Len agrees.
+func checkConsistent(t *testing.T, s *Store) {
 	t.Helper()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	live := make(map[*entry]bool, b.ll.Len())
-	for el := b.ll.Front(); el != nil; el = el.Next() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	live := make(map[*entry]bool, s.ll.Len())
+	for el := s.ll.Front(); el != nil; el = el.Next() {
 		live[el.Value.(*entry)] = true
 	}
-	if len(live) != b.ll.Len() {
-		t.Fatalf("list holds %d elements but %d distinct entries", b.ll.Len(), len(live))
+	if len(live) != s.ll.Len() {
+		t.Fatalf("list holds %d elements but %d distinct entries", s.ll.Len(), len(live))
 	}
-	if len(b.byKey) != b.ll.Len() || len(b.byFP) != b.ll.Len() {
-		t.Fatalf("Len=%d but byKey=%d byFP=%d (indexes leaked or lost entries)",
-			b.ll.Len(), len(b.byKey), len(b.byFP))
+	if len(s.byFP) != s.ll.Len() {
+		t.Fatalf("Len=%d but byFP=%d (index leaked or lost entries)", s.ll.Len(), len(s.byFP))
 	}
-	if len(b.byShape) > b.ll.Len() {
-		t.Fatalf("byShape=%d exceeds Len=%d", len(b.byShape), b.ll.Len())
+	if len(s.byShape) > s.ll.Len() {
+		t.Fatalf("byShape=%d exceeds Len=%d", len(s.byShape), s.ll.Len())
 	}
-	for k, el := range b.byKey {
-		e := el.Value.(*entry)
-		if !live[e] {
-			t.Fatalf("byKey[%v] references an evicted element", k)
-		}
-		if e.key != k {
-			t.Fatalf("byKey[%v] points at entry keyed %v", k, e.key)
-		}
-	}
-	for fp, el := range b.byFP {
+	for fp, el := range s.byFP {
 		e := el.Value.(*entry)
 		if !live[e] {
 			t.Fatalf("byFP[%s] references an evicted element", fp)
@@ -269,7 +253,7 @@ func checkConsistent(t *testing.T, b *Local) {
 			t.Fatalf("byFP[%s] points at entry keyed %v", fp, e.key)
 		}
 	}
-	for sh, el := range b.byShape {
+	for sh, el := range s.byShape {
 		e := el.Value.(*entry)
 		if !live[e] {
 			t.Fatalf("byShape[%s] references an evicted element", sh)
@@ -281,71 +265,36 @@ func checkConsistent(t *testing.T, b *Local) {
 }
 
 // TestPutRefreshesExistingEntry is the regression test for the
-// identical-insert race: a Put whose key (or fingerprint) is already
-// cached must refresh the surviving element's bytes and repoint the
-// fingerprint and shape indexes at it. The pre-fix insert returned
-// early after an LRU touch, so the refreshed bytes were dropped and the
-// shape index kept serving the older alias.
+// identical-insert race: a Put whose fingerprint is already cached must
+// refresh the surviving element's bytes and repoint the shape index at
+// it. The pre-fix insert returned early after an LRU touch, so the
+// refreshed bytes were dropped and the shape index kept serving the
+// older alias.
 func TestPutRefreshesExistingEntry(t *testing.T) {
-	b := NewLocal(4)
+	s := New(4)
 	kA := key(1, "sA")
 	kB := key(2, "sA") // same shape, different fingerprint (a stale alias)
 
-	b.Put(kA, Entry{Plans: plans(1), Source: kA.Profile})
-	b.Put(kB, Entry{Plans: plans(2), Source: kA.Profile})
+	s.Put(kA, Entry{Plans: plans(1), Source: kA.Profile})
+	s.Put(kB, Entry{Plans: plans(2), Source: kA.Profile})
 
 	// Re-insert kA with fresh bytes — a direct Put re-publishing plans
 	// for a fingerprint already cached.
-	b.Put(kA, Entry{Plans: plans(3), Source: kA.Profile})
+	s.Put(kA, Entry{Plans: plans(3), Source: kA.Profile})
 
-	got, _, ok := b.Lookup(kA.Profile)
-	if !ok || !bytes.Equal(got.Plans, plans(3)) {
-		t.Fatalf("Lookup(fpA) = %q/%v, want refreshed plans-003 (pre-fix bug: stale bytes)", got.Plans, ok)
+	if got, ok := s.Get(kA.Profile); !ok || !bytes.Equal(got.Plans, plans(3)) {
+		t.Fatalf("Get(fpA) = %q/%v, want refreshed plans-003 (pre-fix bug: stale bytes)", got.Plans, ok)
 	}
-	if got, ok := b.LookupKey(kA); !ok || !bytes.Equal(got.Plans, plans(3)) {
-		t.Fatalf("LookupKey(kA) = %q/%v, want refreshed plans-003", got.Plans, ok)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (refresh must not duplicate)", s.Len())
 	}
-	// The refresh made kA the freshest entry of its shape, so the shape
-	// index must serve its bytes, not the older alias's.
-	if got, ok := b.LookupShape("sA"); !ok || !bytes.Equal(got.Plans, plans(3)) {
-		t.Fatalf("LookupShape(sA) = %q/%v, want repointed plans-003 (pre-fix bug: alias bytes)", got.Plans, ok)
+	checkConsistent(t, s)
+	// The refresh made kA the freshest entry of its shape, so a stale
+	// match on that shape must serve its bytes, not the older alias's.
+	if got, res, ok := s.TryGet(key(3, "sA")); !ok || res.Outcome != OutcomeStaleMatch || !bytes.Equal(got, plans(3)) {
+		t.Fatalf("stale match on sA = %q/%v/%v, want repointed plans-003 (pre-fix bug: alias bytes)", got, res.Outcome, ok)
 	}
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (refresh must not duplicate)", b.Len())
-	}
-	checkConsistent(t, b)
-}
-
-// TestPutUpgradesFingerprintOnlyAlias: plans Put under a
-// fingerprint-only key, then the full key of the same profile, must
-// leave one entry carrying the shape instead of a second entry for the
-// fingerprint.
-func TestPutUpgradesFingerprintOnlyAlias(t *testing.T) {
-	b := NewLocal(4)
-	fp := wire.Fingerprint("fp-001")
-	b.Put(Key{Profile: fp}, Entry{Plans: plans(1), Source: fp})
-	if _, ok := b.LookupShape("sA"); ok {
-		t.Fatal("fingerprint-only entry must not be shape-addressable")
-	}
-
-	full := Key{Profile: fp, Shape: "sA"}
-	b.Put(full, Entry{Plans: plans(1), Source: fp})
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (upgrade, not duplicate)", b.Len())
-	}
-	if got, ok := b.LookupShape("sA"); !ok || !bytes.Equal(got.Plans, plans(1)) {
-		t.Fatalf("LookupShape after upgrade = %q/%v", got.Plans, ok)
-	}
-	if got, ok := b.LookupKey(full); !ok || !bytes.Equal(got.Plans, plans(1)) {
-		t.Fatalf("LookupKey after upgrade = %q/%v", got.Plans, ok)
-	}
-	// A fingerprint-only refresh arriving after the upgrade must not strip
-	// the learned shape.
-	b.Put(Key{Profile: fp}, Entry{Plans: plans(2), Source: fp})
-	if got, ok := b.LookupShape("sA"); !ok || !bytes.Equal(got.Plans, plans(2)) {
-		t.Fatalf("shape lost after fingerprint-only refresh: %q/%v", got.Plans, ok)
-	}
-	checkConsistent(t, b)
+	checkConsistent(t, s)
 }
 
 // TestEvictionChurnKeepsMapsConsistent drives a small cache through
@@ -354,30 +303,29 @@ func TestPutUpgradesFingerprintOnlyAlias(t *testing.T) {
 // references an evicted element, and Len agrees with the map sizes.
 func TestEvictionChurnKeepsMapsConsistent(t *testing.T) {
 	s := New(8)
-	b := s.lru
 	shapes := []string{"sA", "sB", "sC"}
 	for i := 0; i < 200; i++ {
 		k := key(i, shapes[i%len(shapes)])
 		mustCompute(t, s, k, i)
 		if i%7 == 0 { // sprinkle direct Puts into the churn
-			b.Put(key(i/2, shapes[(i/2)%len(shapes)]), Entry{Plans: plans(i), Source: k.Profile})
+			s.Put(key(i/2, shapes[(i/2)%len(shapes)]), Entry{Plans: plans(i), Source: k.Profile})
 		}
 		if i%13 == 0 {
 			s.Get(key(i/3, "").Profile) // fingerprint lookups touch LRU order
 		}
-		checkConsistent(t, b)
+		checkConsistent(t, s)
 	}
 	if s.Len() != 8 {
 		t.Fatalf("Len = %d, want capacity 8 after churn", s.Len())
 	}
 	// Every surviving fingerprint must serve exactly its own bytes.
-	b.mu.Lock()
+	s.mu.Lock()
 	entries := make(map[wire.Fingerprint][]byte)
-	for el := b.ll.Front(); el != nil; el = el.Next() {
+	for el := s.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		entries[e.key.Profile] = e.plans
+		entries[e.key.Profile] = e.Plans
 	}
-	b.mu.Unlock()
+	s.mu.Unlock()
 	for fp, want := range entries {
 		got, ok := s.Get(fp)
 		if !ok || !bytes.Equal(got.Plans, want) {

@@ -4,25 +4,16 @@ import (
 	"fmt"
 
 	"aptget/internal/core"
-	"aptget/internal/mem"
 	"aptget/internal/obs"
 	"aptget/internal/profile"
 	"aptget/internal/wire"
 	"aptget/internal/workloads"
 )
 
-// FillPipeline applies the same defaults core's pipeline applies to its
-// own Config (machine model, DRAM latency), exported here so clients
-// that profile locally and POST the result use the exact configuration
+// FillPipeline applies core's defaults to cfg (core.Config.Fill). Its
+// caller is perfbench, which profiles locally under the configuration
 // the daemon analyzes under.
-func FillPipeline(cfg *core.Config) {
-	if cfg.Machine.Name == "" {
-		cfg.Machine = mem.ConfigScaled()
-	}
-	if cfg.Analysis.DRAMLatency == 0 {
-		cfg.Analysis.DRAMLatency = float64(cfg.Machine.DRAMLatency)
-	}
-}
+func FillPipeline(cfg *core.Config) { cfg.Fill() }
 
 // CollectProfile is the client half of the service: profile one registry
 // workload the way core.ProfileAndPlan's first stage does and package
@@ -31,7 +22,7 @@ func FillPipeline(cfg *core.Config) {
 // -emit-profile, aptbench -loadgen and the smoke tests all build their
 // payloads through this.
 func CollectProfile(e workloads.Entry, cfg core.Config) (*wire.Profile, []byte, error) {
-	FillPipeline(&cfg)
+	cfg.Fill()
 	w := e.New()
 	prog, err := w.Build()
 	if err != nil {

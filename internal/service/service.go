@@ -43,7 +43,6 @@ import (
 
 	"aptget/internal/analysis"
 	"aptget/internal/core"
-	"aptget/internal/mem"
 	"aptget/internal/obs"
 	"aptget/internal/planstore"
 	"aptget/internal/profile"
@@ -70,12 +69,6 @@ const maxCaptureWait = 135 * time.Second
 
 // Config tunes the server. Zero values select defaults.
 type Config struct {
-	// Pipeline carries the machine model and analysis options plans are
-	// computed with. A zero value selects core.DefaultConfig — the same
-	// configuration the in-process pipeline uses, which is what makes
-	// served plans byte-identical to core.RunPipeline's.
-	Pipeline core.Config
-
 	// CacheCapacity bounds the plan cache (≤0 → planstore.DefaultCapacity).
 	CacheCapacity int
 
@@ -92,14 +85,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	// Mirror core.Config.fill so the daemon's Analyze sees exactly the
-	// options the in-process pipeline would.
-	if c.Pipeline.Machine.Name == "" {
-		c.Pipeline.Machine = mem.ConfigScaled()
-	}
-	if c.Pipeline.Analysis.DRAMLatency == 0 {
-		c.Pipeline.Analysis.DRAMLatency = float64(c.Pipeline.Machine.DRAMLatency)
-	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = planstore.DefaultCapacity
 	}
@@ -117,10 +102,14 @@ func (c *Config) fill() {
 // Server is one plan-service instance: the cache, the admission
 // semaphore, and the HTTP handler wired over them.
 type Server struct {
-	cfg     Config
-	store   *planstore.Store
-	sem     chan struct{}
-	handler http.Handler
+	cfg Config
+	// pipeline is core.DefaultConfig filled by core: the configuration
+	// the in-process pipeline uses, which is what makes served plans
+	// byte-identical to core.RunPipeline's.
+	pipeline core.Config
+	store    *planstore.Store
+	sem      chan struct{}
+	handler  http.Handler
 
 	// compute is the cache-miss analysis: computePlans, or a stand-in a
 	// test installs to hold a flight open.
@@ -160,10 +149,12 @@ type errorResponse struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		cfg:   cfg,
-		store: planstore.New(cfg.CacheCapacity),
-		sem:   make(chan struct{}, cfg.MaxInflight),
+		cfg:      cfg,
+		pipeline: core.DefaultConfig(),
+		store:    planstore.New(cfg.CacheCapacity),
+		sem:      make(chan struct{}, cfg.MaxInflight),
 	}
+	s.pipeline.Fill()
 	s.compute = s.computePlans
 
 	mux := http.NewServeMux()
@@ -201,7 +192,8 @@ func (s *Server) Counters() map[string]int64 {
 }
 
 // Close is a no-op: the server holds nothing beyond the listener Serve
-// owns. It stays so existing callers that defer it keep compiling.
+// owns. Its caller is perfbench's traced serve replay
+// (perfbench/traced_serve.go).
 func (s *Server) Close() {}
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts
@@ -429,13 +421,13 @@ func (s *Server) computePlans(p *wire.Profile) ([]byte, error) {
 		return nil, fmt.Errorf("service: rebuilding %s: %w", p.App, err)
 	}
 	sp := obs.Begin("aptgetd/"+p.App, obs.StageAnalysis)
-	aopt := s.cfg.Pipeline.Analysis
+	aopt := s.pipeline.Analysis
 	aopt.Obs = sp
 	prof := p.ToProfile()
 	// Re-run the shared selection gate on the decoded loads: scores are
 	// derived (stall × period / kilo-instruction), not wire fields, so
 	// the server recomputes them — idempotent for a client-gated profile.
-	prof.Loads = profile.SelectLoads(prof.Loads, prof.Counters.Instructions, s.cfg.Pipeline.Profile)
+	prof.Loads = profile.SelectLoads(prof.Loads, prof.Counters.Instructions, s.pipeline.Profile)
 	plans, err := analysis.Analyze(prog, prof, aopt)
 	sp.End()
 	if err != nil {

@@ -15,43 +15,26 @@
 //
 // Together these imply encode(decode(b)) == b for every accepted b —
 // the property the wire fuzz targets assert — without materializing a
-// second copy. The same pass runs over a frame in memory (the service
-// reads an upload into a buffer, hashing it as it arrives, and decodes
-// only when the hash finds no cached plans: (*Decoder).DecodeProfile)
-// or over an io.Reader, hashing every byte it consumes
-// (DecodeProfileFrom).
+// second copy. The pass runs over a frame held whole in memory: the
+// service reads an upload into a buffer, hashing it as it arrives, and
+// decodes only when the hash finds no cached plans
+// ((*Decoder).DecodeProfile).
 package wire
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 
 	"aptget/internal/lbr"
 )
 
-// streamChunk is the refill granularity for io.Reader sources and the
-// allocation cap for length-prefixed data: a slice is never grown by
-// more than this many bytes ahead of what the stream has delivered, so
-// an adversarial length prefix cannot allocate beyond the actual input.
-const streamChunk = 64 << 10
-
-// stream is the incremental frame reader. With src == nil, buf holds
-// the entire frame (the []byte decoders); otherwise buf is a sliding
-// window refilled from src, and every byte that enters the window is
-// fed to sum, giving the content address of the frame for free.
+// stream reads the fields of one frame held whole in buf.
 type stream struct {
-	buf []byte // buffered bytes; unread portion is buf[pos:]
+	buf []byte // the frame; the unread portion is buf[pos:]
 	pos int
-	src io.Reader // nil when buf is the whole input
-	sum hash.Hash // optional incremental SHA-256 over all buffered bytes
-	off int64     // total bytes consumed, for error offsets
 	err error
-
-	scratch [8]byte // f64 staging for the src path
 }
 
 func (s *stream) fail(format string, args ...any) {
@@ -60,130 +43,65 @@ func (s *stream) fail(format string, args ...any) {
 	}
 }
 
-// remaining is how many unread bytes are buffered.
+// remaining is how many bytes are left unread.
 func (s *stream) remaining() int { return len(s.buf) - s.pos }
 
-// refill buffers at least one more unread byte, returning false at end
-// of input or on a read error. The []byte path never refills.
-func (s *stream) refill() bool {
-	if s.err != nil || s.src == nil {
-		return false
-	}
-	if s.pos > 0 {
-		s.buf = s.buf[:copy(s.buf, s.buf[s.pos:])]
-		s.pos = 0
-	}
-	if cap(s.buf) < streamChunk {
-		old := s.buf
-		s.buf = make([]byte, len(old), streamChunk)
-		copy(s.buf, old)
-	}
-	for {
-		n, err := s.src.Read(s.buf[len(s.buf):cap(s.buf)])
-		if n > 0 {
-			s.sum.Write(s.buf[len(s.buf) : len(s.buf)+n])
-			s.buf = s.buf[:len(s.buf)+n]
-			return true
-		}
-		if err == io.EOF {
-			return false
-		}
-		if err != nil {
-			if s.err == nil {
-				s.err = fmt.Errorf("wire: reading frame: %w", err)
-			}
-			return false
-		}
-	}
+// truncated fails the decode for a field that runs past the frame's
+// end, which is where the missing byte would be.
+func (s *stream) truncated() {
+	s.fail("wire: truncated frame at offset %d", len(s.buf))
 }
 
-func (s *stream) byte() byte {
+// take consumes the next n bytes, or returns nil when fewer are left.
+func (s *stream) take(n int) []byte {
 	if s.err != nil {
-		return 0
+		return nil
 	}
-	if s.pos >= len(s.buf) && !s.refill() {
-		s.fail("wire: truncated frame at offset %d", s.off)
-		return 0
+	if s.remaining() < n {
+		s.truncated()
+		return nil
 	}
-	b := s.buf[s.pos]
-	s.pos++
-	s.off++
+	b := s.buf[s.pos : s.pos+n]
+	s.pos += n
 	return b
 }
 
-// full fills dst from the stream, refilling as needed.
-func (s *stream) full(dst []byte) {
-	for len(dst) > 0 {
-		if s.err != nil {
-			return
-		}
-		if s.pos >= len(s.buf) && !s.refill() {
-			s.fail("wire: truncated frame at offset %d", s.off)
-			return
-		}
-		n := copy(dst, s.buf[s.pos:])
-		s.pos += n
-		s.off += int64(n)
-		dst = dst[n:]
+func (s *stream) byte() byte {
+	if b := s.take(1); b != nil {
+		return b[0]
 	}
+	return 0
 }
 
 // uint reads a minimally-encoded uvarint: a multi-byte encoding whose
 // final byte is zero carries padding the canonical writer never emits.
+// The loop is bounded by the frame's end and by the tenth byte, which
+// may carry only the 64th bit.
 func (s *stream) uint() uint64 {
 	if s.err != nil {
 		return 0
 	}
-	// Fast path: the longest encoding (10 bytes) is buffered, so decode
-	// straight from the window in one loop with one exit and no refill
-	// checks. It accepts exactly what the byte-wise path below does.
-	if b := s.buf[s.pos:]; len(b) >= 10 {
-		var v uint64
-		i := 0
-		for ; i < 9 && b[i] >= 0x80; i++ {
-			v |= uint64(b[i]&0x7f) << (7 * i)
-		}
-		// The loop stops at a byte below 0x80 or at the tenth byte,
-		// which may carry only the 64th bit.
-		last := b[i]
-		switch {
-		case i == 9 && last > 1:
-			s.fail("wire: uvarint overflows 64 bits at offset %d", s.off)
-			return 0
-		case i > 0 && last == 0:
-			s.fail("wire: frame is not canonical: padded varint at offset %d", s.off)
-			return 0
-		}
-		s.pos += i + 1
-		s.off += int64(i + 1)
-		return v | uint64(last)<<(7*i)
-	}
-	start := s.off
 	var v uint64
-	var shift uint
-	for i := 0; i < 10; i++ {
-		b := s.byte()
-		if s.err != nil {
-			return 0
-		}
-		if b < 0x80 {
-			if i == 9 && b > 1 {
-				s.fail("wire: uvarint overflows 64 bits at offset %d", start)
+	for i, c := range s.buf[s.pos:] {
+		if c < 0x80 {
+			switch {
+			case i == 9 && c > 1:
+				s.fail("wire: uvarint overflows 64 bits at offset %d", s.pos)
+				return 0
+			case i > 0 && c == 0:
+				s.fail("wire: frame is not canonical: padded varint at offset %d", s.pos)
 				return 0
 			}
-			if i > 0 && b == 0 {
-				s.fail("wire: frame is not canonical: padded varint at offset %d", start)
-				return 0
-			}
-			return v | uint64(b)<<shift
+			s.pos += i + 1
+			return v | uint64(c)<<(7*i)
 		}
 		if i == 9 {
-			break
+			s.fail("wire: uvarint overflows 64 bits at offset %d", s.pos)
+			return 0
 		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
+		v |= uint64(c&0x7f) << (7 * i)
 	}
-	s.fail("wire: uvarint overflows 64 bits at offset %d", start)
+	s.truncated()
 	return 0
 }
 
@@ -200,7 +118,7 @@ func (s *stream) int() int64 {
 // int32v reads a zigzag varint that must fit in int32 — the old decoder
 // truncated and then failed the re-encode comparison; same accept set.
 func (s *stream) int32v() int32 {
-	start := s.off
+	start := s.pos
 	v := s.int()
 	if v < math.MinInt32 || v > math.MaxInt32 {
 		s.fail("wire: frame is not canonical: value %d overflows int32 at offset %d", v, start)
@@ -210,26 +128,10 @@ func (s *stream) int32v() int32 {
 }
 
 func (s *stream) f64() float64 {
-	if s.err != nil {
-		return 0
+	if b := s.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	// Fast path: 8 bytes already buffered.
-	if s.remaining() >= 8 {
-		b := s.buf[s.pos:]
-		bits := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		s.pos += 8
-		s.off += 8
-		return math.Float64frombits(bits)
-	}
-	s.full(s.scratch[:])
-	if s.err != nil {
-		return 0
-	}
-	b := s.scratch
-	bits := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-	return math.Float64frombits(bits)
+	return 0
 }
 
 func (s *stream) bool() bool {
@@ -238,46 +140,27 @@ func (s *stream) bool() bool {
 		return false
 	}
 	if b > 1 {
-		s.fail("wire: bad bool byte %d at offset %d", b, s.off-1)
+		s.fail("wire: bad bool byte %d at offset %d", b, s.pos-1)
 		return false
 	}
 	return b == 1
 }
 
-// count reads a length prefix. When the whole frame is in memory it is
-// validated against the remaining bytes (each element needs at least
-// elemMin bytes); for streams the cap is enforced by chunked allocation
-// at the use sites instead.
+// count reads a length prefix and checks it against the bytes left:
+// each element needs at least elemMin of them. A slice sized by the
+// count therefore never holds more elements than the frame can carry.
 func (s *stream) count(elemMin int) int {
-	start := s.off
+	start := s.pos
 	v := s.uint()
 	if s.err != nil {
 		return 0
 	}
-	if s.src == nil && v > uint64(s.remaining())/uint64(elemMin) {
+	if v > uint64(s.remaining())/uint64(elemMin) {
 		s.fail("wire: length %d exceeds remaining %d bytes at offset %d",
 			v, s.remaining(), start)
 		return 0
 	}
-	if v > math.MaxInt64/2 {
-		s.fail("wire: absurd length %d at offset %d", v, start)
-		return 0
-	}
 	return int(v)
-}
-
-// sliceCap bounds an up-front allocation for n elements of elemSize
-// bytes: exact when the frame is in memory (count already validated n),
-// one chunk's worth otherwise — the slice then grows only as the stream
-// actually delivers elements.
-func (s *stream) sliceCap(n, elemSize int) int {
-	if s.src == nil {
-		return n
-	}
-	if max := streamChunk / elemSize; n > max {
-		return max
-	}
-	return n
 }
 
 func (s *stream) str() string {
@@ -285,27 +168,7 @@ func (s *stream) str() string {
 	if s.err != nil || n == 0 {
 		return ""
 	}
-	// Fast path: the bytes are buffered (always true for src == nil).
-	if s.remaining() >= n {
-		v := string(s.buf[s.pos : s.pos+n])
-		s.pos += n
-		s.off += int64(n)
-		return v
-	}
-	out := make([]byte, 0, s.sliceCap(n, 1))
-	for len(out) < n {
-		chunk := n - len(out)
-		if chunk > streamChunk {
-			chunk = streamChunk
-		}
-		start := len(out)
-		out = append(out, make([]byte, chunk)...)
-		s.full(out[start:])
-		if s.err != nil {
-			return ""
-		}
-	}
-	return string(out)
+	return string(s.take(n))
 }
 
 func (s *stream) f64s() []float64 {
@@ -313,7 +176,7 @@ func (s *stream) f64s() []float64 {
 	if s.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float64, 0, s.sliceCap(n, 8))
+	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, s.f64())
 		if s.err != nil {
@@ -325,12 +188,11 @@ func (s *stream) f64s() []float64 {
 
 // header consumes and validates magic, version, and kind.
 func (s *stream) header(kind byte) {
-	var m [4]byte
-	s.full(m[:])
+	m := s.take(len(magic))
 	if s.err != nil {
 		return
 	}
-	if m != magic {
+	if [len(magic)]byte(m) != magic {
 		s.fail("wire: bad magic")
 		return
 	}
@@ -348,10 +210,10 @@ func (s *stream) finish() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.remaining() > 0 || s.refill() {
-		return fmt.Errorf("wire: trailing bytes after frame at offset %d", s.off)
+	if s.remaining() > 0 {
+		return fmt.Errorf("wire: trailing bytes after frame at offset %d", s.pos)
 	}
-	return s.err
+	return nil
 }
 
 // Decoder decodes profile frames into buffers it keeps between calls:
@@ -383,16 +245,15 @@ func (d *Decoder) DecodeProfile(data []byte) (*Profile, error) {
 	return p, nil
 }
 
-// decodeProfile is the shared incremental profile parser. Each slice
-// starts from the decoder's backing and grows only as elements arrive,
-// so an adversarial length prefix still allocates no more than the
-// input delivers. Every sample's Entries is a full-capacity slice.
+// decodeProfile is the profile parser. Each slice starts from the
+// decoder's backing, sized by a count the frame's length bounds. Every
+// sample's Entries is a full-capacity slice.
 func (d *Decoder) decodeProfile(s *stream) *Profile {
 	s.header(KindProfile)
 	p := &d.p
 	*p = Profile{App: s.str(), Cycles: s.uint(), Instructions: s.uint()}
 	if n := s.count(3); s.err == nil && n > 0 {
-		p.Loads = reserve(d.loads, s.sliceCap(n, 24))
+		p.Loads = reserve(d.loads, n)
 		for i := 0; i < n && s.err == nil; i++ {
 			l := Load{PC: s.uint(), Samples: s.uint(), StallCycles: s.uint(), Share: s.f64()}
 			if i > 0 && lessLoad(&l, &p.Loads[i-1]) {
@@ -404,7 +265,7 @@ func (d *Decoder) decodeProfile(s *stream) *Profile {
 		d.loads = p.Loads
 	}
 	if n := s.count(2); s.err == nil && n > 0 {
-		p.Samples = reserve(d.samples, s.sliceCap(n, 40))
+		p.Samples = reserve(d.samples, n)
 		entries := reserve(d.entries, d.entryHint)
 		need := 0
 		for i := 0; i < n && s.err == nil; i++ {
@@ -412,12 +273,11 @@ func (d *Decoder) decodeProfile(s *stream) *Profile {
 			sm.Cycle = s.uint()
 			if m := s.count(3); s.err == nil && m > 0 {
 				// A snapshot goes into the kept backing when it fits
-				// there, else into its own slice; either way it
-				// allocates nothing beyond what the stream delivers.
+				// there, else into its own slice.
 				shared := cap(entries)-len(entries) >= m
 				es := entries[len(entries):]
 				if !shared {
-					es = make([]lbr.Entry, 0, s.sliceCap(m, 24))
+					es = make([]lbr.Entry, 0, m)
 				}
 				for j := 0; j < m && s.err == nil; j++ {
 					es = append(es, lbr.Entry{
@@ -442,7 +302,7 @@ func (d *Decoder) decodeProfile(s *stream) *Profile {
 		d.samples, d.entries, d.entryHint = p.Samples, entries, max(d.entryHint, need)
 	}
 	if n := s.count(5); s.err == nil && n > 0 {
-		p.Loops = reserve(d.loops, s.sliceCap(n, 16))
+		p.Loops = reserve(d.loops, n)
 		for i := 0; i < n && s.err == nil; i++ {
 			p.Loops = append(p.Loops, LoopShape{
 				Depth:        s.int32v(),
@@ -465,14 +325,14 @@ func reserve[T any](buf []T, n int) []T {
 	return buf[:0]
 }
 
-// decodePlanSet is the shared incremental plan-set parser. Plan order is
+// decodePlanSet is the plan-set parser. Plan order is
 // the analysis order — the encoder preserves it, so no order check.
 func (s *stream) decodePlanSet() *PlanSet {
 	s.header(KindPlanSet)
 	ps := &PlanSet{}
 	ps.App = s.str()
 	if n := s.count(10); s.err == nil && n > 0 {
-		ps.Plans = make([]Plan, 0, s.sliceCap(n, 200))
+		ps.Plans = make([]Plan, 0, n)
 		for i := 0; i < n && s.err == nil; i++ {
 			var p Plan
 			p.LoadPC = s.uint()
@@ -508,20 +368,22 @@ func DecodeProfile(data []byte) (*Profile, error) {
 	return new(Decoder).DecodeProfile(data)
 }
 
-// DecodeProfileFrom parses exactly one canonical profile frame from r,
-// hashing and validating incrementally as bytes arrive: the decoder
-// never buffers more than one window, and the returned Fingerprint is
-// the content address of the consumed bytes (identical to
-// FingerprintBytes over the same frame). r must end at the frame
-// boundary; trailing bytes are an error. The profile is the caller's to
-// keep.
+// DecodeProfileFrom reads r to its end into a pooled Body, parses the
+// bytes as exactly one canonical profile frame (trailing bytes are an
+// error) and returns the profile, which is the caller's to keep, with
+// the frame's Fingerprint.
 func DecodeProfileFrom(r io.Reader) (*Profile, Fingerprint, error) {
-	s := stream{src: r, sum: sha256.New()}
-	p := new(Decoder).decodeProfile(&s)
-	if err := s.finish(); err != nil {
+	b := GetBody()
+	defer b.Release()
+	fp, err := b.Fill(r, -1)
+	if err != nil {
 		return nil, "", err
 	}
-	return p, Fingerprint(hex.EncodeToString(s.sum.Sum(nil)[:fpBytes])), nil
+	p, err := DecodeProfile(b.Bytes)
+	if err != nil {
+		return nil, "", err
+	}
+	return p, fp, nil
 }
 
 // DecodePlanSet parses a plan-set frame from memory. Canonicality is

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"io"
 	"reflect"
@@ -11,7 +10,7 @@ import (
 	"testing/iotest"
 )
 
-// TestDecodeProfileFromMatchesDecodeProfile: the streaming decoder must
+// TestDecodeProfileFromMatchesDecodeProfile: the reader decoder must
 // accept exactly what the in-memory decoder accepts, produce the same
 // value, and fingerprint the consumed bytes identically — regardless of
 // how the reader chunks the body.
@@ -43,7 +42,7 @@ func TestDecodeProfileFromMatchesDecodeProfile(t *testing.T) {
 			}
 		}
 
-		// One byte at a time: every refill boundary is exercised.
+		// One byte at a time: the reader's chunking must not matter.
 		got, fp, err := DecodeProfileFrom(iotest.OneByteReader(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatalf("samples=%d one-byte: %v", n, err)
@@ -71,8 +70,8 @@ func TestDecodeProfileFromRejects(t *testing.T) {
 
 // TestDecodeProfileFromBoundsAllocation: a stream that declares an
 // enormous element count but delivers almost no bytes must fail fast
-// without allocating anywhere near the declared size — the chunked
-// growth only ever runs ahead of the stream by one window.
+// without allocating anywhere near the declared size — every count is
+// checked against the bytes the frame holds.
 func TestDecodeProfileFromBoundsAllocation(t *testing.T) {
 	w := newWriter(KindProfile)
 	w.str("BFS")
@@ -191,7 +190,7 @@ func TestWireAllocsPerRun(t *testing.T) {
 		if _, _, err := DecodeProfileFrom(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 82 { // + reader, hasher, window
+	}); got > 82 { // + reader, fingerprint
 		t.Errorf("DecodeProfileFrom: %.1f allocs/op, want <= 82", got)
 	}
 	var d Decoder
@@ -234,15 +233,13 @@ func TestDecoderReuse(t *testing.T) {
 	}
 }
 
-// TestUintSplitAcrossRefills: stream.uint decodes straight from the
-// window when ten bytes are buffered and byte by byte otherwise. Both
-// paths must accept the same encodings with the same values and reject
-// the rest with the same error. Each edge encoding is placed so that it
-// starts 0–11 bytes before a streamChunk boundary and is decoded from
-// memory (fast path), from a chunked reader (the window refills
-// mid-varint when fewer than ten bytes are left before the boundary)
-// and from a one-byte reader (byte-wise throughout).
+// TestUintSplitAcrossRefills: stream.uint decodes in one loop bounded
+// by the frame's end and by the tenth byte. Each edge encoding starts at
+// a fixed offset and is followed by 0–11 more bytes before the frame
+// ends; whatever follows, it must give the same value, or the same
+// error. A truncated encoding only ever ends the frame.
 func TestUintSplitAcrossRefills(t *testing.T) {
+	const lead = 64 << 10 // offset of the encoding's first byte
 	ff := func(n int) []byte { return bytes.Repeat([]byte{0xff}, n) }
 	c80 := func(n int) []byte { return bytes.Repeat([]byte{0x80}, n) }
 	cases := []struct {
@@ -264,51 +261,46 @@ func TestUintSplitAcrossRefills(t *testing.T) {
 		{"truncated", []byte{0x80}, 0, "truncated"},
 		{"truncated nine bytes", ff(9), 0, "truncated"},
 	}
-	const tail = 5 // a one-byte varint after each accepted encoding
+	const tail = 5 // the one-byte varint right after the encoding
 	for _, c := range cases {
-		for lead := 0; lead <= 11; lead++ {
-			// streamChunk-lead one-byte zero varints put the encoding's
-			// first byte lead bytes before the window's first refill.
-			// Accepted and rejected encodings are followed by the tail
-			// and ten unread bytes, so the in-memory decode takes the
-			// fast path on them.
-			data := make([]byte, streamChunk-lead, streamChunk+32)
+		var firstErr string
+		for after := 0; after <= 11; after++ {
+			if c.err == "truncated" && after > 0 {
+				break
+			}
+			// One-byte zero varints fill the frame up to the encoding;
+			// the tail and zero bytes follow it to the frame's end.
+			data := make([]byte, lead, lead+len(c.enc)+after)
 			data = append(data, c.enc...)
-			if c.err != "truncated" {
+			if after > 0 {
 				data = append(data, tail)
-				data = append(data, make([]byte, 10)...)
+				data = append(data, make([]byte, after-1)...)
 			}
-			sources := map[string]func() *stream{
-				"memory":   func() *stream { return &stream{buf: data} },
-				"chunked":  func() *stream { return &stream{src: bytes.NewReader(data), sum: sha256.New()} },
-				"one-byte": func() *stream { return &stream{src: iotest.OneByteReader(bytes.NewReader(data)), sum: sha256.New()} },
+			s := &stream{buf: data}
+			for i := 0; i < lead; i++ {
+				if v := s.uint(); v != 0 || s.err != nil {
+					t.Fatalf("%s after %d: filler varint %d = %d, %v", c.name, after, i, v, s.err)
+				}
 			}
-			var firstErr string
-			for src, open := range sources {
-				s := open()
-				for i := 0; i < streamChunk-lead; i++ {
-					if v := s.uint(); v != 0 || s.err != nil {
-						t.Fatalf("%s/%s lead %d: filler varint %d = %d, %v", c.name, src, lead, i, v, s.err)
+			v := s.uint()
+			if c.err == "" {
+				if s.err != nil || v != c.want {
+					t.Errorf("%s after %d: got %d, %v; want %d", c.name, after, v, s.err, c.want)
+				} else if after > 0 {
+					if next := s.uint(); next != tail || s.err != nil {
+						t.Errorf("%s after %d: next varint = %d, %v; want %d", c.name, after, next, s.err, tail)
 					}
 				}
-				v := s.uint()
-				if c.err == "" {
-					if s.err != nil || v != c.want {
-						t.Errorf("%s/%s lead %d: got %d, %v; want %d", c.name, src, lead, v, s.err, c.want)
-					} else if next := s.uint(); next != tail || s.err != nil {
-						t.Errorf("%s/%s lead %d: next varint = %d, %v; want %d", c.name, src, lead, next, s.err, tail)
-					}
-					continue
-				}
-				if s.err == nil || !strings.Contains(s.err.Error(), c.err) {
-					t.Errorf("%s/%s lead %d: got %d, %v; want a %q rejection", c.name, src, lead, v, s.err, c.err)
-					continue
-				}
-				if firstErr == "" {
-					firstErr = s.err.Error()
-				} else if s.err.Error() != firstErr {
-					t.Errorf("%s/%s lead %d: error %q differs from %q", c.name, src, lead, s.err, firstErr)
-				}
+				continue
+			}
+			if s.err == nil || !strings.Contains(s.err.Error(), c.err) {
+				t.Errorf("%s after %d: got %d, %v; want a %q rejection", c.name, after, v, s.err, c.err)
+				continue
+			}
+			if firstErr == "" {
+				firstErr = s.err.Error()
+			} else if s.err.Error() != firstErr {
+				t.Errorf("%s after %d: error %q differs from %q", c.name, after, s.err, firstErr)
 			}
 		}
 	}
